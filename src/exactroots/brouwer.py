@@ -20,7 +20,7 @@ from math import isqrt
 from typing import Iterator, Mapping
 
 from .cauchy_index import cauchy_index
-from .exact_arith import GaussianRational, RatLike, gauss
+from .exact_arith import GaussianRational, RatLike, gauss, power
 from .poly import RealPoly, real_gcd
 from .winding import QuarterInt, Rectangle
 
@@ -35,14 +35,23 @@ class SelfMapViolation(ValueError):
 
 
 class BiPoly:
-    """Polynomial in (X, Y) over the rationals, stored as exponent -> coeff."""
+    """Polynomial in (X, Y), stored as exponent -> coeff.
+
+    Coefficients are rationals; the expression parser also builds Gaussian
+    rational ones, and a coefficient with zero imaginary part is stored as
+    its rational real part.  Evaluation and edge restriction need rational
+    coefficients.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], RatLike] = ()):
+    def __init__(self, terms: Mapping[tuple[int, int], RatLike | GaussianRational] = ()):
         clean = {}
         for (i, j), c in dict(terms).items():
-            c = Fraction(c)
+            if isinstance(c, GaussianRational):
+                c = c if c.im else c.re
+            else:
+                c = Fraction(c)
             if c:
                 clean[(int(i), int(j))] = c
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
@@ -55,7 +64,7 @@ class BiPoly:
         return cls({})
 
     @classmethod
-    def const(cls, c: RatLike) -> "BiPoly":
+    def const(cls, c: RatLike | GaussianRational) -> "BiPoly":
         return cls({(0, 0): c})
 
     @classmethod
@@ -103,6 +112,9 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "BiPoly":
+        return power(self, n, BiPoly.const(1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):

@@ -114,22 +114,15 @@ def sign_changes(values: Iterable[RatLike]) -> HalfInt:
     return HalfInt(twice)
 
 
-def _variation_of_signs(signs: Sequence[int]) -> HalfInt:
-    twice = 0
-    for k in range(1, len(signs)):
-        twice += abs(signs[k - 1] - signs[k])
-    return HalfInt(twice)
-
-
 def sign_var_diff(chain: SturmChain, a: RatLike, b: RatLike) -> HalfInt:
     """V_a - V_b: sign variations of the chain at a minus those at b."""
-    return _variation_of_signs(chain.signs_at(a)) - _variation_of_signs(chain.signs_at(b))
+    return sign_changes(chain.signs_at(a)) - sign_changes(chain.signs_at(b))
 
 
 def sign_var_diff_infinite(chain: SturmChain) -> HalfInt:
     """V at -infinity minus V at +infinity, read off the leading terms."""
-    va = _variation_of_signs(chain.signs_at_infinity(-1))
-    vb = _variation_of_signs(chain.signs_at_infinity(+1))
+    va = sign_changes(chain.signs_at_infinity(-1))
+    vb = sign_changes(chain.signs_at_infinity(+1))
     return va - vb
 
 
@@ -181,12 +174,7 @@ def descartes_bound(coeffs: Sequence[RatLike]) -> int:
     Upper bound for the number of positive real roots counted with
     multiplicity; the excess is even over a real closed field.
     """
-    purged = [sign(c) for c in coeffs if c]
-    changes = 0
-    for k in range(1, len(purged)):
-        if purged[k - 1] != purged[k]:
-            changes += 1
-    return changes
+    return sign_changes([c for c in coeffs if c]).twice // 2
 
 
 def inversion_check(

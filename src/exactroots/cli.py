@@ -7,9 +7,14 @@ results are JSON with every exact value serialized as a rational string
 as quarter-integer fraction strings.  Plot output (csv or svg) converts to
 floating point only at emission; everything upstream is exact.
 
+``--precision K`` (target diameter 2^-K, default 10) belongs to real-roots,
+complex-roots and fixed-point.  An expression may reach total degree at
+most ``MAX_DEGREE``; a power or product beyond it is refused before it is
+expanded.
+
 Exit codes: 0 success, 2 parse error, 3 precondition violation
-(zero polynomial, vertex root, non-self-map, ...), 4 internal invariant
-breach.
+(zero polynomial, vertex root, non-self-map, degree over the limit, ...),
+4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -22,12 +27,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brouwer import BiPoly, PlaneMap, fixed_point_search
-from .cauchy_index import count_real_roots
+from .cauchy_index import sign_var_diff
 from .exact_arith import GaussianRational, InvariantViolation, gauss
-from .isolate import isolate_roots, newton_step, newton_switch_ready
-from .poly import ComplexPoly, RealPoly
-from .stability import half_plane_count, routh_index
-from .winding import Rectangle, VertexRootError, count_roots_in_rectangle
+from .isolate import Cell, isolate_roots, newton_step, newton_switch_ready
+from .poly import ComplexPoly, RealPoly, SturmChain, sturm_chain
+from .poly import format_poly as format_complex_poly
+from .stability import half_plane_count
+from .winding import Rectangle, VertexRootError, cauchy_radius, count_roots_in_rectangle
+
+# Largest total degree an expression may reach.  It bounds the memory and
+# time of a parse: a bivariate product of two degree-50 factors already
+# has about 1.8 million coefficient products to form.
+MAX_DEGREE = 100
 
 
 class ParseError(ValueError):
@@ -70,61 +81,20 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Terms:
-    """Polynomial in two slots with Gaussian-rational coefficients."""
+def _check_degree(degree, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"degree {degree} at position {pos} is over the limit {MAX_DEGREE}"
+        )
 
-    __slots__ = ("data",)
 
-    def __init__(self, data=None):
-        self.data = {e: c for e, c in (data or {}).items() if c}
-
-    @classmethod
-    def const(cls, c: GaussianRational):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def var(cls, slot: int):
-        e = (1, 0) if slot == 0 else (0, 1)
-        return cls({e: gauss(1)})
-
-    def add(self, other):
-        out = dict(self.data)
-        for e, c in other.data.items():
-            out[e] = out.get(e, gauss(0)) + c
-        return _Terms(out)
-
-    def neg(self):
-        return _Terms({e: -c for e, c in self.data.items()})
-
-    def mul(self, other):
-        out: dict = {}
-        for (i1, j1), c1 in self.data.items():
-            for (i2, j2), c2 in other.data.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, gauss(0)) + c1 * c2
-        return _Terms(out)
-
-    def pow(self, n: int):
-        result = _Terms.const(gauss(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return result
-
-    def constant_value(self):
-        if not self.data:
-            return gauss(0)
-        if set(self.data) == {(0, 0)}:
-            return self.data[(0, 0)]
-        return None
+def _product(a: BiPoly, b: BiPoly, pos: int) -> BiPoly:
+    _check_degree(a.total_degree() + b.total_degree(), pos)
+    return a * b
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.seen_vars: set[str] = set()
@@ -137,25 +107,25 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> _Terms:
+    def parse(self) -> BiPoly:
         value = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
         return value
 
-    def expr(self) -> _Terms:
+    def expr(self) -> BiPoly:
         value = self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value.add(rhs if text == "+" else rhs.neg())
+                value = value + rhs if text == "+" else value - rhs
             else:
                 return value
 
-    def term(self) -> _Terms:
+    def term(self) -> BiPoly:
         value = self.factor()
         while True:
             kind, text, pos = self.peek()
@@ -163,20 +133,20 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if text == "*":
-                    value = value.mul(rhs)
+                    value = _product(value, rhs, pos)
                 else:
-                    c = rhs.constant_value()
-                    if c is None:
+                    if set(rhs.terms) - {(0, 0)}:
                         raise ParseError("division only by nonzero constants", pos)
+                    c = rhs.terms.get((0, 0))
                     if not c:
                         raise ParseError("division by zero", pos)
-                    value = value.mul(_Terms.const(c.inv()))
+                    value = value * (gauss(1) / c)
             elif kind in ("num", "sym") or (kind == "op" and text == "("):
-                value = value.mul(self.factor())
+                value = _product(value, self.factor(), pos)
             else:
                 return value
 
-    def factor(self) -> _Terms:
+    def factor(self) -> BiPoly:
         negate = False
         while True:
             kind, text, _ = self.peek()
@@ -186,9 +156,9 @@ class _Parser:
             else:
                 break
         value = self.power()
-        return value.neg() if negate else value
+        return -value if negate else value
 
-    def power(self) -> _Terms:
+    def power(self) -> BiPoly:
         value = self.atom()
         kind, text, _ = self.peek()
         if kind == "op" and text in ("^", "**"):
@@ -199,23 +169,24 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            return value.pow(text)
+            _check_degree(max(value.total_degree(), 0) * text, pos)
+            return value**text
         return value
 
-    def atom(self) -> _Terms:
+    def atom(self) -> BiPoly:
         kind, text, pos = self.advance()
         if kind == "num":
-            return _Terms.const(gauss(text))
+            return BiPoly.const(text)
         if kind == "sym":
             if text == "i":
-                return _Terms.const(gauss(0, 1))
+                return BiPoly.const(gauss(0, 1))
             name = text.upper()
             if name in ("Z", "X"):
                 self.seen_vars.add(name)
-                return _Terms.var(0)
+                return BiPoly.x()
             if name == "Y":
                 self.seen_vars.add(name)
-                return _Terms.var(1)
+                return BiPoly.y()
             raise ParseError(f"unknown symbol {text!r}", pos)
         if kind == "op" and text == "(":
             value = self.expr()
@@ -248,9 +219,9 @@ def parse_poly(text: str) -> PolyExpr:
     if parser.seen_vars == {"Z", "X"}:
         raise ParseError("mixed variables Z and X", 0)
     variable = next(iter(parser.seen_vars), "Z")
-    degree = max((e[0] for e in terms.data), default=0)
+    degree = max((e[0] for e in terms.terms), default=0)
     coeffs = [gauss(0)] * (degree + 1)
-    for (k, _), c in terms.data.items():
+    for (k, _), c in terms.terms.items():
         coeffs[k] = c
     return PolyExpr(source=text, variable=variable, poly=ComplexPoly(coeffs))
 
@@ -269,59 +240,14 @@ def parse_map_component(text: str) -> BiPoly:
     terms = parser.parse()
     if "Z" in parser.seen_vars:
         raise ParseError("map components use the variables X and Y", 0)
-    out = {}
-    for e, c in terms.data.items():
-        if c.im:
-            raise ParseError("map components must have real coefficients", 0)
-        out[e] = c.re
-    return BiPoly(out)
+    if any(isinstance(c, GaussianRational) for c in terms.terms.values()):
+        raise ParseError("map components must have real coefficients", 0)
+    return terms
 
 
 # ---------------------------------------------------------------------------
 # printing and serialization
 # ---------------------------------------------------------------------------
-
-
-def _coeff_str(c: GaussianRational) -> tuple[str, bool]:
-    """Render a coefficient; second value tells whether it is '1'-like."""
-    if not c.im:
-        return str(c.re), abs(c.re) == 1 and c.re.denominator == 1
-    if not c.re:
-        if c.im == 1:
-            return "i", False
-        if c.im == -1:
-            return "-i", False
-        return f"{c.im}*i", False
-    op = "+" if c.im > 0 else "-"
-    im = abs(c.im)
-    im_str = "i" if im == 1 else f"{im}*i"
-    return f"({c.re}{op}{im_str})", False
-
-
-def format_complex_poly(p: ComplexPoly, var: str = "Z") -> str:
-    """Normalized text form; parsing it back reproduces the polynomial."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        cs, is_unit = _coeff_str(c)
-        if mono and is_unit:
-            parts.append(mono if not cs.startswith("-") else f"-{mono}")
-        elif mono:
-            parts.append(f"{cs}*{mono}")
-        else:
-            parts.append(cs)
-    out = parts[0]
-    for piece in parts[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
-    return out
 
 
 def _rat_str(x: Fraction) -> str:
@@ -332,7 +258,7 @@ def _gauss_obj(z: GaussianRational) -> dict:
     return {"re": _rat_str(z.re), "im": _rat_str(z.im)}
 
 
-def _rect_obj(rect: Rectangle) -> dict:
+def _rect_obj(rect: Rectangle | Cell) -> dict:
     return {
         "x0": _rat_str(rect.x0),
         "x1": _rat_str(rect.x1),
@@ -342,31 +268,15 @@ def _rect_obj(rect: Rectangle) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# options
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    """Parsed command options shared by the subcommands."""
-
-    precision_bits: int = 10
-    rectangle: Rectangle | None = None
-    output_format: str = "json"
-    samples: int = 64
-    newton_steps: int | None = None
-    jobs: int = 1
-    interval: tuple[Fraction, Fraction] | None = None
-
-    def __post_init__(self):
-        if self.precision_bits <= 0:
-            raise ValueError("precision must be positive")
-        if self.samples < 4:
-            raise ValueError("need at least 4 samples per edge (16 total)")
-
-    @property
-    def target(self) -> Fraction:
-        return Fraction(1, 2**self.precision_bits)
+def _target(args) -> Fraction:
+    """The target diameter 2^-K of a command with --precision K."""
+    if args.precision <= 0:
+        raise ValueError("precision must be positive")
+    return Fraction(1, 2**args.precision)
 
 
 def _parse_rect(text: str) -> Rectangle:
@@ -404,8 +314,12 @@ def _read_source(arg: str | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _isolate_real(p: RealPoly, a: Fraction, b: Fraction, target: Fraction):
-    """1-D bisection: exact points (with weight) and isolating intervals."""
+def _isolate_real(p: RealPoly, chain: SturmChain, a: Fraction, b: Fraction, target: Fraction):
+    """1-D bisection: exact points (with weight) and isolating intervals.
+
+    ``chain`` is the Sturm chain of p'/p, which counts the roots of p on
+    every subinterval.
+    """
     points = []
     for endpoint in (a, b):
         if p.eval(endpoint) == 0:
@@ -414,7 +328,7 @@ def _isolate_real(p: RealPoly, a: Fraction, b: Fraction, target: Fraction):
     intervals = []
     while work:
         lo, hi = work.pop()
-        inside = count_real_roots(p, lo, hi).as_fraction()
+        inside = sign_var_diff(chain, lo, hi).as_fraction()
         if p.eval(lo) == 0:
             inside -= Fraction(1, 2)
         if p.eval(hi) == 0:
@@ -436,23 +350,19 @@ def cmd_real_roots(args) -> dict:
     poly, variable = parse_real_poly(_read_source(args.poly))
     if poly.is_zero():
         raise ValueError("the zero polynomial has no isolated roots")
-    config = _config_from(args)
-    if config.interval is not None:
-        a, b = config.interval
+    target = _target(args)
+    if args.interval is not None:
+        a, b = args.interval
     else:
-        lead = abs(poly.leading_coeff())
-        bound = (
-            1 + max(abs(c) for c in poly.coeffs[:-1]) / lead
-            if poly.degree >= 1
-            else Fraction(1)
-        )
+        bound = cauchy_radius(poly.to_complex())
         a, b = -bound, bound
-    points, intervals = _isolate_real(poly, a, b, config.target)
-    total = count_real_roots(poly, a, b)
+    chain = sturm_chain(poly.derivative(), poly)
+    points, intervals = _isolate_real(poly, chain, a, b, target)
+    total = sign_var_diff(chain, a, b)
     return {
-        "polynomial": format_complex_poly(poly.to_complex(), variable),
+        "polynomial": format_complex_poly(poly, variable),
         "interval": [_rat_str(a), _rat_str(b)],
-        "precision": _rat_str(config.target),
+        "precision": _rat_str(target),
         "count": str(total),
         "points": [{"x": _rat_str(x), "weight": _rat_str(w)} for x, w in points],
         "intervals": [
@@ -463,15 +373,15 @@ def cmd_real_roots(args) -> dict:
 
 def cmd_complex_roots(args) -> dict:
     expr = parse_poly(_read_source(args.poly))
-    config = _config_from(args)
+    target = _target(args)
     if expr.poly.is_zero() or expr.poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    state = isolate_roots(expr.poly, config.target, jobs=config.jobs)
+    state = isolate_roots(expr.poly, target)
     approx = state.approximations()
     ready = bool(approx) and newton_switch_ready(approx)
     payload = {
         "polynomial": expr.normalized,
-        "precision": _rat_str(config.target),
+        "precision": _rat_str(target),
         "square_free_degree": state.square_free_degree,
         "generation": state.generation,
         "initial_radius": _rat_str(state.initial_radius),
@@ -480,10 +390,7 @@ def cmd_complex_roots(args) -> dict:
         ],
         "cells": [
             {
-                "x0": _rat_str(c.x0),
-                "x1": _rat_str(c.x1),
-                "y0": _rat_str(c.y0),
-                "y1": _rat_str(c.y1),
+                **_rect_obj(c),
                 "dim": c.dim,
                 "weight": str(c.weight),
                 "center": _gauss_obj(c.center()),
@@ -493,15 +400,15 @@ def cmd_complex_roots(args) -> dict:
         ],
         "newton_ready": ready,
     }
-    if config.newton_steps and approx:
+    if args.newton and approx:
         if not ready:
             payload["newton_refined"] = None
         else:
-            rounding = config.precision_bits + 2
+            rounding = args.precision + 2
             refined = []
             for cell in state.cells:
                 z = cell.center()
-                for _ in range(config.newton_steps):
+                for _ in range(args.newton):
                     z = newton_step(state.remainder, z, rounding)
                 refined.append(_gauss_obj(z))
             payload["newton_refined"] = refined
@@ -527,7 +434,7 @@ def cmd_routh(args) -> dict:
     counts = half_plane_count(expr.poly)
     return {
         "polynomial": expr.normalized,
-        "routh_index": str(routh_index(expr.poly)),
+        "routh_index": str(counts.p - counts.q),
         "p": counts.p,
         "q": counts.q,
         "imaginary_axis": counts.imaginary_axis,
@@ -539,15 +446,15 @@ def cmd_fixed_point(args) -> dict:
     p = parse_map_component(args.map_p)
     q = parse_map_component(args.map_q)
     rect = args.rect if args.rect is not None else Rectangle(-1, 1, -1, 1)
-    config = _config_from(args)
-    result = fixed_point_search(PlaneMap(p, q), rect, config.target)
+    target = _target(args)
+    result = fixed_point_search(PlaneMap(p, q), rect, target)
     if result.is_exact:
         outcome = {"kind": "point", "point": _gauss_obj(result.point)}
     else:
         outcome = {"kind": "cell", "cell": _rect_obj(result.cell)}
     return {
         "rectangle": _rect_obj(rect),
-        "precision": _rat_str(config.target),
+        "precision": _rat_str(target),
         "result": outcome,
     }
 
@@ -570,9 +477,10 @@ def _boundary_samples(poly: ComplexPoly, rect: Rectangle, samples: int):
 
 def cmd_plot(args) -> str:
     expr = parse_poly(_read_source(args.poly))
-    config = _config_from(args)
-    edges = _boundary_samples(expr.poly, args.rect, config.samples)
-    if config.output_format == "svg":
+    if args.samples < 4:
+        raise ValueError("need at least 4 samples per edge (16 total)")
+    edges = _boundary_samples(expr.poly, args.rect, args.samples)
+    if args.format == "svg":
         return _render_svg(edges)
     lines = ["t,re,im"]
     for edge in edges:
@@ -611,18 +519,6 @@ def _render_svg(edges) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        precision_bits=getattr(args, "precision", 10),
-        rectangle=getattr(args, "rect", None),
-        output_format=getattr(args, "format", "json"),
-        samples=getattr(args, "samples", 64),
-        newton_steps=getattr(args, "newton", None),
-        jobs=getattr(args, "jobs", 1),
-        interval=getattr(args, "interval", None),
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactroots",
@@ -630,33 +526,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, poly=True):
-        if poly:
-            p.add_argument("poly", nargs="?", help="polynomial expression or '-' for stdin")
+    def add_poly(p):
+        p.add_argument("poly", nargs="?", help="polynomial expression or '-' for stdin")
+
+    def add_precision(p):
         p.add_argument("--precision", type=int, default=10, metavar="K",
                        help="target diameter 2^-K (default 10)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads for cell refinement")
 
     p = sub.add_parser("real-roots", help="count and isolate real roots on an interval")
-    add_common(p)
+    add_poly(p)
+    add_precision(p)
     p.add_argument("--interval", type=_parse_interval, metavar="A,B",
                    help="interval [a,b] (default: a Cauchy root window)")
     p.set_defaults(func=cmd_real_roots)
 
     p = sub.add_parser("complex-roots", help="isolate all complex roots")
-    add_common(p)
+    add_poly(p)
+    add_precision(p)
     p.add_argument("--newton", type=int, metavar="M",
                    help="run M Newton steps per cell when separation permits")
     p.set_defaults(func=cmd_complex_roots)
 
     p = sub.add_parser("winding", help="roots in a rectangle by boundary index")
-    add_common(p)
+    add_poly(p)
     p.add_argument("--rect", type=_parse_rect, required=True, metavar="X0,X1,Y0,Y1")
     p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("routh", help="half-plane root counts and stability")
-    add_common(p)
+    add_poly(p)
     p.set_defaults(func=cmd_routh)
 
     p = sub.add_parser("fixed-point", help="locate a fixed point of a planar map")
@@ -664,12 +561,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map_q", help="second component Q(X,Y)")
     p.add_argument("--rect", type=_parse_rect, metavar="X0,X1,Y0,Y1",
                    help="search rectangle (default -1,1,-1,1)")
-    p.add_argument("--precision", type=int, default=10, metavar="K")
-    p.add_argument("--jobs", type=int, default=1)
+    add_precision(p)
     p.set_defaults(func=cmd_fixed_point)
 
     p = sub.add_parser("plot", help="sample the boundary image curve")
-    add_common(p)
+    add_poly(p)
     p.add_argument("--rect", type=_parse_rect, required=True, metavar="X0,X1,Y0,Y1")
     p.add_argument("--samples", type=int, default=64, metavar="N",
                    help="samples per edge (default 64)")

@@ -49,6 +49,18 @@ def sign(x: RatLike) -> int:
     return 0
 
 
+def power(x, n: int, one):
+    """``x**n`` for an integer n >= 0 by repeated squaring; ``one`` is x**0."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 def rat_inv(x: RatLike) -> Fraction:
     """Multiplicative inverse; raises ZeroDivisionError for x = 0."""
     if x == 0:
@@ -99,13 +111,7 @@ class GaussianRational:
     def __pow__(self, n: int) -> GaussianRational:
         if n < 0:
             return self.inv() ** (-n)
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ONE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (GaussianRational, Fraction, int)):

@@ -24,7 +24,6 @@ rationals to keep denominators bounded.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -43,8 +42,8 @@ from .winding import (
     Rectangle,
     VertexRootError,
     cauchy_radius,
+    count_roots_in_rectangle,
     rectangle_index,
-    segment_index,
 )
 
 
@@ -127,12 +126,6 @@ class IsolationState:
     def approximations(self) -> tuple[ApproximateRoot, ...]:
         return tuple(ApproximateRoot(c.center(), c.radius()) for c in self.cells)
 
-    def total_weight(self) -> QuarterInt:
-        total = QuarterInt(0)
-        for c in self.cells:
-            total = total + c.weight
-        return total
-
 
 # ---------------------------------------------------------------------------
 # deflation
@@ -192,23 +185,6 @@ def _segment_root_count(w: ComplexPoly, key, cache) -> int:
     return count
 
 
-def _closed_rectangle_count(w: ComplexPoly, rect: Rectangle, cache) -> QuarterInt:
-    """count_roots_in_rectangle with per-generation caching of edge indices."""
-    for v in rect.vertices():
-        if not w.eval(v):
-            raise VertexRootError(v)
-    a, b, c, d = rect.vertices()
-    total = QuarterInt(0)
-    for start, end in ((a, b), (b, c), (c, d), (d, a)):
-        key = ("seg", start.re, start.im, end.re, end.im)
-        got = cache.get(key)
-        if got is None:
-            got = segment_index(w, start, end)
-            cache[key] = got
-        total = total + got
-    return total
-
-
 def _edge_keys(rect: Rectangle):
     return (
         ("h", rect.y0, rect.x0, rect.x1),
@@ -255,7 +231,7 @@ def _split_cell(w: ComplexPoly, cell: Cell, cache) -> list[Cell]:
         Rectangle(xm, cell.x1, ym, cell.y1),
     )
     for rect in quadrants:
-        closed = _closed_rectangle_count(w, rect, cache)
+        closed = count_roots_in_rectangle(w, rect)
         boundary = sum(_segment_root_count(w, key, cache) for key in _edge_keys(rect))
         interior = closed - QuarterInt(2 * boundary)  # half a unit per edge root
         if interior < 0 or not interior.is_integer():
@@ -294,9 +270,7 @@ def _new_grid_points(cell: Cell) -> list[GaussianRational]:
 # ---------------------------------------------------------------------------
 
 
-def isolate_roots(
-    f: ComplexPoly, target_diameter: RatLike, jobs: int = 1
-) -> IsolationState:
+def isolate_roots(f: ComplexPoly, target_diameter: RatLike) -> IsolationState:
     """Isolate all complex roots of f into cells of diameter <= target.
 
     Reduces f to its square-free part, confines all roots to the square
@@ -336,11 +310,7 @@ def isolate_roots(
         while True:
             cache: dict = {}
             try:
-                if jobs > 1 and len(cells) > 1:
-                    with ThreadPoolExecutor(max_workers=jobs) as pool:
-                        parts = list(pool.map(lambda c: _split_cell(w, c, cache), cells))
-                else:
-                    parts = [_split_cell(w, c, cache) for c in cells]
+                parts = [_split_cell(w, c, cache) for c in cells]
             except VertexRootError as exc:
                 # All grid points were pre-checked, so this is unexpected;
                 # deflate and recount rather than give a wrong answer.

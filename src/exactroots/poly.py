@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
-from .exact_arith import GaussianRational, gauss, sign
+from .exact_arith import GaussianRational, InvariantViolation, gauss, power, sign
 
 NEG_INF = float("-inf")
 
@@ -69,10 +69,6 @@ class _Poly:
     @classmethod
     def variable(cls):
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self):
@@ -143,14 +139,7 @@ class _Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, type(self).one())
 
     def scale(self, c):
         """Multiply every coefficient by the scalar c."""
@@ -264,7 +253,7 @@ class RealPoly(_Poly):
         return ComplexPoly([gauss(c) for c in self.coeffs])
 
     def __str__(self):
-        return _format_poly(self.coeffs, "X", str)
+        return format_poly(self, "X")
 
 
 class ComplexPoly(_Poly):
@@ -276,9 +265,6 @@ class ComplexPoly(_Poly):
     def _coerce(value):
         return gauss(value)
 
-    def conjugate(self) -> "ComplexPoly":
-        return ComplexPoly([c.conj() for c in self.coeffs])
-
     def re_im_parts(self) -> tuple[RealPoly, RealPoly]:
         """Coefficient-wise real and imaginary parts as real polynomials."""
         re = RealPoly([c.re for c in self.coeffs])
@@ -286,19 +272,20 @@ class ComplexPoly(_Poly):
         return re, im
 
     def __str__(self):
-        return _format_poly(self.coeffs, "Z", str)
+        return format_poly(self, "Z")
 
 
-def _format_poly(coeffs, var, fmt):
-    if not coeffs:
+def format_poly(p: _Poly, var: str = "Z") -> str:
+    """Normalized text form in the variable ``var``; parsing it back gives p."""
+    if p.is_zero():
         return "0"
     parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
         if not c:
             continue
         mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        cs = fmt(c)
+        cs = str(c)
         if mono and cs == "1":
             parts.append(mono)
         elif mono and cs == "-1":
@@ -308,8 +295,8 @@ def _format_poly(coeffs, var, fmt):
         else:
             parts.append(cs)
     out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return out
 
 
@@ -349,43 +336,16 @@ def _int_primitive(p: RealPoly) -> list[int]:
     for c in p.coeffs:
         den = int_lcm(den, c.denominator)
     ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, v)
+    g = _int_content(ints)
     return [v // g for v in ints] if g else []
 
 
-def _int_pseudo_div(s: list[int], p: list[int]) -> tuple[list[int], list[int], int]:
-    """Integer pseudo-division: lc(p)^d * s = p*q + rem, deg rem < deg p."""
-    dp = len(p) - 1
-    c = p[-1]
-    d = max(0, len(s) - dp) if s else 0
-    if d % 2:
-        d += 1
-    scale = c**d
-    rem = [v * scale for v in s]
-    q = [0] * max(0, len(rem) - dp)
-    while len(rem) - 1 >= dp and rem:
-        k = len(rem) - 1 - dp
-        t, check = divmod(rem[-1], c)
-        if check:
-            raise ArithmeticError("pseudo-division lost integrality")
-        q[k] = t
-        for j, b in enumerate(p):
-            rem[k + j] -= t * b
-        while rem and not rem[-1]:
-            rem.pop()
-    return q, rem, d
+def _int_divmod(s: list[int], p: list[int]) -> tuple[list[int], list[int]]:
+    """Integer long division s = p*q + rem with deg rem < deg p.
 
-
-def _int_content(p: list[int]) -> int:
-    g = 0
-    for v in p:
-        g = int_gcd(g, v)
-    return g
-
-
-def _int_exact_div(s: list[int], p: list[int]) -> list[int]:
+    Every step must divide exactly; callers only divide where that is
+    proved, so a remainder in a leading coefficient is an internal error.
+    """
     rem = list(s)
     dp = len(p) - 1
     c = p[-1]
@@ -394,15 +354,30 @@ def _int_exact_div(s: list[int], p: list[int]) -> list[int]:
         k = len(rem) - 1 - dp
         t, check = divmod(rem[-1], c)
         if check:
-            raise ArithmeticError("exact integer division failed")
+            raise InvariantViolation("integer polynomial division lost integrality")
         q[k] = t
         for j, b in enumerate(p):
             rem[k + j] -= t * b
         while rem and not rem[-1]:
             rem.pop()
-    if rem:
-        raise ArithmeticError("exact integer division left a remainder")
-    return q
+    return q, rem
+
+
+def _int_pseudo_div(s: list[int], p: list[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: lc(p)^d * s = p*q + rem, deg rem < deg p."""
+    d = max(0, len(s) - len(p) + 1) if s else 0
+    if d % 2:
+        d += 1
+    scale = p[-1] ** d
+    q, rem = _int_divmod([v * scale for v in s], p)
+    return q, rem, d
+
+
+def _int_content(p: list[int]) -> int:
+    g = 0
+    for v in p:
+        g = int_gcd(g, v)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +505,10 @@ def sturm_chain(r: RealPoly, s: RealPoly) -> SturmChain:
 
     g = chain[-1]
     if len(g) > 1:
-        reduced = [_int_exact_div(p, g) for p in chain]
-        polys = tuple(RealPoly([Fraction(v) for v in p]) for p in reduced)
+        reduced = [_int_divmod(p, g) for p in chain]
+        if any(rem for _, rem in reduced):
+            raise InvariantViolation("a chain member is not divisible by the chain gcd")
+        polys = tuple(RealPoly([Fraction(v) for v in q]) for q, _ in reduced)
     else:
         c = Fraction(g[0])
         polys = tuple(RealPoly([Fraction(v) / c for v in p]) for p in chain)

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .cauchy_index import HalfInt, cauchy_index, cauchy_index_infinite, count_real_roots
 from .exact_arith import I, InvariantViolation, gauss
 from .poly import ComplexPoly, RealPoly, complex_gcd, real_gcd
+from .winding import cauchy_radius
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,8 @@ def _reversed_parts(f: ComplexPoly) -> tuple[RealPoly, RealPoly]:
 
 def _real_root_window(polys) -> Fraction:
     """A rational r with every real root of every given poly inside ]-r, r[."""
-    r = Fraction(1)
-    for p in polys:
-        if p.is_zero() or p.degree == 0:
-            continue
-        lead = abs(p.leading_coeff())
-        bound = 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
-        r = max(r, bound)
-    return r + 1
+    radii = (cauchy_radius(p.to_complex()) for p in polys if p.degree >= 1)
+    return 1 + max(radii, default=Fraction(1))
 
 
 def routh_index(f: ComplexPoly) -> HalfInt:

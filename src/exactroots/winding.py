@@ -131,9 +131,6 @@ class Rectangle:
             gauss(self.x0, self.y1),
         )
 
-    def contains_open(self, z: GaussianRational) -> bool:
-        return self.x0 < z.re < self.x1 and self.y0 < z.im < self.y1
-
     def __str__(self) -> str:
         return f"[{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
 

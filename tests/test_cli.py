@@ -218,9 +218,7 @@ class TestCommands:
 
     def test_complex_roots_jobs_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "complex-roots", "Z^3+Z+9", "--precision", "6")
-        code2, out2, _ = run_cli(
-            capsys, "complex-roots", "Z^3+Z+9", "--precision", "6", "--jobs", "3"
-        )
+        code2, out2, _ = run_cli(capsys, "complex-roots", "Z^3+Z+9", "--precision", "6")
         assert code1 == code2 == 0
         assert out1 == out2
 
@@ -259,6 +257,68 @@ class TestCommands:
                 assert isinstance(cell[key], str) or key == "dim"
             assert isinstance(cell["center"]["re"], str)
         assert isinstance(payload["initial_radius"], str)
+
+
+class TestLimitsAndOptions:
+    def test_degree_limit_refuses_powers_before_expanding(self, capsys, monkeypatch):
+        from exactroots.brouwer import BiPoly
+        from exactroots.cli import MAX_DEGREE
+
+        expanded = []
+        original = BiPoly.__pow__
+
+        def recording_pow(self, n):
+            expanded.append(max(self.total_degree(), 0) * n)
+            return original(self, n)
+
+        monkeypatch.setattr(BiPoly, "__pow__", recording_pow)
+        for source in ("Z^100000000", "(Z^1000)^1000", "((Z+1)^60)^2"):
+            code, out, err = run_cli(capsys, "routh", source)
+            assert code == 3 and out == ""
+            assert json.loads(err)["error"] == "precondition"
+        assert expanded and max(expanded) <= MAX_DEGREE
+
+    def test_degree_limit_on_products(self, capsys):
+        from exactroots.cli import MAX_DEGREE
+
+        half = MAX_DEGREE // 2 + 1
+        assert parse_poly(f"Z^{MAX_DEGREE}").poly.degree == MAX_DEGREE
+        with pytest.raises(ValueError, match="over the limit"):
+            parse_poly(f"(Z+1)^{half} * (Z-1)^{half}")
+        with pytest.raises(ValueError, match="over the limit"):
+            parse_poly(f"Z^{MAX_DEGREE}(Z+1)")
+        code, _, err = run_cli(capsys, "fixed-point", f"X^{half}*Y^{half}", "Y")
+        assert code == 3
+        assert json.loads(err)["error"] == "precondition"
+
+    def test_jobs_rejected_everywhere(self, capsys):
+        argvs = [
+            ["real-roots", "X^2-2"],
+            ["complex-roots", "Z^2-2"],
+            ["winding", "Z", "--rect", "-1,1,-1,1"],
+            ["routh", "Z+1"],
+            ["fixed-point", "X/2", "Y/2"],
+            ["plot", "Z", "--rect", "-1,1,-1,1"],
+        ]
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--jobs", "2"])
+            assert exc.value.code == 2
+
+    def test_precision_only_where_it_is_read(self, capsys):
+        for argv in (
+            ["winding", "Z", "--rect", "-1,1,-1,1"],
+            ["routh", "Z+1"],
+            ["plot", "Z", "--rect", "-1,1,-1,1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--precision", "4"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in (["real-roots", "X^2-2"], ["complex-roots", "Z-1"], ["fixed-point", "X/2", "Y/2"]):
+            code, _, err = run_cli(capsys, *argv, "--precision", "0")
+            assert code == 3
+            assert json.loads(err)["message"] == "precision must be positive"
 
 
 class TestPlot:

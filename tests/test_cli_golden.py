@@ -1,0 +1,43 @@
+"""Byte-identical CLI output on the first two blocks of the cli-corpus.
+
+Replays the first invocations of the benchmark's cli-corpus workload on
+its default seed, as generated by ``bench/workloads.py``, and compares the
+SHA-256 of each stdout with ``bench/golden_cli.json`` and each exit code
+with the case's spec.  Two blocks cover every subcommand and the error
+exits.  The bench files are only read.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import exactroots
+import exactroots.cli  # noqa: F401  (the workload calls exactroots.cli.main)
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH_DIR)
+
+from workloads import BLOCK_SIZE, DEFAULT_SEED, GOLDEN_PATH, CliCorpus  # noqa: E402
+
+COUNT = 2 * BLOCK_SIZE
+
+
+def test_first_two_blocks_match_golden_digests():
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)["digests"]
+    corpus = CliCorpus(DEFAULT_SEED)
+    kinds, codes = set(), set()
+    mismatches = []
+    for i in range(COUNT):
+        spec = corpus.spec(i)
+        kinds.add(spec["argv"][0])
+        code, stdout = corpus.call(exactroots, spec["argv"])
+        want = spec["expect"].get("exit", 0)
+        codes.add(want)
+        if code != want or hashlib.sha256(stdout.encode()).hexdigest() != golden[i]:
+            mismatches.append((i, spec["argv"], code, want))
+    assert COUNT == 38
+    assert kinds == {"real-roots", "complex-roots", "fixed-point", "winding", "routh"}
+    assert codes == {0, 2, 3}
+    assert not mismatches

@@ -130,8 +130,7 @@ class TestIsolateRoots:
         f = ComplexPoly([gauss(2, -1), gauss(0, 3), gauss(-1, 1), gauss(1)])
         first = isolate_roots(f, Fraction(1, 64))
         second = isolate_roots(f, Fraction(1, 64))
-        threaded = isolate_roots(f, Fraction(1, 64), jobs=3)
-        assert first == second == threaded
+        assert first == second
 
     def test_random_polynomials_accounted(self):
         rng = Random(501)

@@ -13,7 +13,8 @@ from exactroots import (
     square_free_part,
     sturm_chain,
 )
-from exactroots.poly import NEG_INF
+from exactroots.exact_arith import InvariantViolation
+from exactroots.poly import NEG_INF, _int_divmod
 
 from oracles import naive_euclidean_chain, rnd_fraction, rnd_real_poly
 
@@ -116,6 +117,12 @@ class TestPseudoDiv:
             for _ in range(20):
                 x = rnd_fraction(rng)
                 assert c**d * s.eval(x) == p.eval(x) * q.eval(x) - r.eval(x)
+
+    def test_integer_division_must_stay_integral(self):
+        # 2 + 4X + 2X^2 = (1 + X)(2 + 2X); 1 + X over 1 + 2X needs X/2
+        assert _int_divmod([2, 4, 2], [1, 1]) == ([2, 2], [])
+        with pytest.raises(InvariantViolation):
+            _int_divmod([1, 1], [1, 2])
 
 
 class TestGcd:
