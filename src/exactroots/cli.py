@@ -7,13 +7,14 @@ results are JSON with every exact value serialized as a rational string
 as quarter-integer fraction strings.  Plot output (csv or svg) converts to
 floating point only at emission; everything upstream is exact.
 
-``--precision K`` (target diameter 2^-K, default 10) belongs to real-roots,
-complex-roots and fixed-point.  An expression may reach total degree at
-most ``MAX_DEGREE``; a power or product beyond it is refused before it is
-expanded.
+``--precision K`` (target diameter 2^-K, default 10, at most
+``MAX_PRECISION``) belongs to real-roots, complex-roots and fixed-point.
+An expression may reach total degree at most ``MAX_DEGREE`` and
+coefficients of at most ``MAX_COEFF_BITS`` bits; a power or product beyond
+either limit is refused before it is expanded.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation
-(zero polynomial, vertex root, non-self-map, degree over the limit, ...),
+(zero polynomial, vertex root, non-self-map, a value over a limit, ...),
 4 internal invariant breach.
 """
 
@@ -25,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .brouwer import BiPoly, PlaneMap, fixed_point_search
 from .cauchy_index import sign_var_diff
@@ -39,6 +41,14 @@ from .winding import Rectangle, VertexRootError, cauchy_radius, count_roots_in_r
 # time of a parse: a bivariate product of two degree-50 factors already
 # has about 1.8 million coefficient products to form.
 MAX_DEGREE = 100
+
+# Largest coefficient size an expression may reach, in bits as measured by
+# _coeff_bits (about 3,000 decimal digits).  Without it a short constant
+# such as 2^100000000 would keep the parser busy for minutes.
+MAX_COEFF_BITS = 10_000
+
+# Largest K of --precision K; the target diameter is 2^-K.
+MAX_PRECISION = 64
 
 
 class ParseError(ValueError):
@@ -81,15 +91,33 @@ def _tokenize(text: str):
     return tokens
 
 
-def _check_degree(degree, pos: int) -> None:
-    if degree > MAX_DEGREE:
-        raise ValueError(
-            f"degree {degree} at position {pos} is over the limit {MAX_DEGREE}"
-        )
+def _check_limit(what: str, value, limit: int, pos: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} {value} at position {pos} is over the limit {limit}")
+
+
+def _coeff_bits(p: BiPoly) -> int:
+    """ceil(log2 D) + ceil(log2 N) for the coefficient parts of p.
+
+    D is the least common denominator of the real and imaginary parts of
+    every coefficient and N the sum of their absolute values times D, so
+    each part is an integer of at most N over D.  A product's measure is
+    at most the sum of its factors', a power's at most the exponent times
+    its base's, and a sum's at most one more than its operands' together.
+    """
+    parts = []
+    for c in p.terms.values():
+        parts += (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+    den = 1
+    for c in parts:
+        den = lcm(den, c.denominator)
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in parts)
+    return (den - 1).bit_length() + (max(num, 1) - 1).bit_length()
 
 
 def _product(a: BiPoly, b: BiPoly, pos: int) -> BiPoly:
-    _check_degree(a.total_degree() + b.total_degree(), pos)
+    _check_limit("degree", a.total_degree() + b.total_degree(), MAX_DEGREE, pos)
+    _check_limit("coefficient size", _coeff_bits(a) + _coeff_bits(b), MAX_COEFF_BITS, pos)
     return a * b
 
 
@@ -117,11 +145,13 @@ class _Parser:
     def expr(self) -> BiPoly:
         value = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
                 value = value + rhs if text == "+" else value - rhs
+                # a sum cannot grow much, so it is checked once formed
+                _check_limit("coefficient size", _coeff_bits(value), MAX_COEFF_BITS, pos)
             else:
                 return value
 
@@ -140,7 +170,7 @@ class _Parser:
                     c = rhs.terms.get((0, 0))
                     if not c:
                         raise ParseError("division by zero", pos)
-                    value = value * (gauss(1) / c)
+                    value = _product(value, BiPoly.const(gauss(1) / c), pos)
             elif kind in ("num", "sym") or (kind == "op" and text == "("):
                 value = _product(value, self.factor(), pos)
             else:
@@ -169,7 +199,8 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            _check_degree(max(value.total_degree(), 0) * text, pos)
+            _check_limit("degree", max(value.total_degree(), 0) * text, MAX_DEGREE, pos)
+            _check_limit("coefficient size", _coeff_bits(value) * text, MAX_COEFF_BITS, pos)
             return value**text
         return value
 
@@ -276,6 +307,8 @@ def _target(args) -> Fraction:
     """The target diameter 2^-K of a command with --precision K."""
     if args.precision <= 0:
         raise ValueError("precision must be positive")
+    if args.precision > MAX_PRECISION:
+        raise ValueError(f"precision {args.precision} is over the limit {MAX_PRECISION}")
     return Fraction(1, 2**args.precision)
 
 

@@ -5,9 +5,11 @@ every root of a square-free working polynomial:
 
 * a 2-cell is an open rectangle, counted by the winding number of the
   boundary (roots on the closed boundary are subtracted off exactly);
-* a 1-cell is an open axis-parallel segment, counted by restricting the
-  polynomial to the line, taking the gcd of real and imaginary parts, and
-  counting its real roots with a Sturm chain;
+* a 1-cell is an open axis-parallel segment, counted by the real roots of
+  the gcd of the real and imaginary parts of the polynomial on its line;
+* both counts come from one restriction per grid line and generation: the
+  Sturm chain of re/im and the gcd on that line give the index and the
+  root count of any of its segments from the signs at the two endpoints;
 * grid points produced by bisection are evaluated exactly; when one turns
   out to be a root, that root is divided out of the working polynomial
   (deflation) and recorded, which keeps every counting theorem applicable.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cauchy_index import count_real_roots
+from .cauchy_index import count_real_roots, sign_var_diff
 from .exact_arith import (
     GaussianRational,
     InvariantViolation,
@@ -36,13 +38,12 @@ from .exact_arith import (
     gauss,
     modulus_bounds,
 )
-from .poly import ComplexPoly, real_gcd, square_free_part
+from .poly import ComplexPoly, RealPoly, SturmChain, real_gcd, square_free_part, sturm_chain
 from .winding import (
     QuarterInt,
     Rectangle,
     VertexRootError,
     cauchy_radius,
-    count_roots_in_rectangle,
     rectangle_index,
 )
 
@@ -151,74 +152,70 @@ def deflate_vertex_root(f: ComplexPoly, z0: GaussianRational) -> tuple[ComplexPo
 
 
 # ---------------------------------------------------------------------------
-# cell counting helpers
+# grid lines
 # ---------------------------------------------------------------------------
 
 
-def _segment_root_count(w: ComplexPoly, key, cache) -> int:
-    """Distinct roots of w on an open axis-parallel segment.
+@dataclass(frozen=True)
+class _Line:
+    """w restricted to the line ('h', y) as t -> w(t + i*y), or to ('v', x)
+    as t -> w(x + i*t): the Sturm chain of re/im and gcd(re, im).
 
-    key is ('v', x, y0, y1) or ('h', y, x0, x1).  Both endpoints must be
-    known non-roots, so the boundary half-weights vanish and the count is
-    an integer.
+    A segment lo < t < hi is a positive affine reparametrization of the
+    line, so it has the same Cauchy indices and the same roots.
     """
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    kind, anchor, lo, hi = key
-    if kind == "v":
-        restricted = w.compose_affine(gauss(0, 1), gauss(anchor))
-    else:
-        restricted = w.compose_affine(gauss(1), gauss(0, anchor))
-    re, im = restricted.re_im_parts()
-    if re.is_zero() and im.is_zero():
-        raise InvariantViolation("working polynomial vanished on a line")
-    g = real_gcd(re, im)
-    if g.degree <= 0:
-        count = 0
-    else:
-        half = count_real_roots(g, lo, hi)
+
+    chain: SturmChain
+    gcd: RealPoly
+
+    def index(self, lo: Fraction, hi: Fraction) -> QuarterInt:
+        """Index of w along the line from lo to hi: half the Cauchy index."""
+        return QuarterInt(sign_var_diff(self.chain, lo, hi).twice)
+
+    def root_count(self, lo: Fraction, hi: Fraction) -> int:
+        """Distinct roots of w on the open segment; lo and hi are non-roots."""
+        if self.gcd.degree <= 0:
+            return 0
+        half = count_real_roots(self.gcd, lo, hi)
         if not half.is_integer():
             raise InvariantViolation("segment count hit a boundary root")
-        count = half.twice // 2
-    cache[key] = count
-    return count
+        return half.twice // 2
 
 
-def _edge_keys(rect: Rectangle):
-    return (
-        ("h", rect.y0, rect.x0, rect.x1),
-        ("h", rect.y1, rect.x0, rect.x1),
-        ("v", rect.x0, rect.y0, rect.y1),
-        ("v", rect.x1, rect.y0, rect.y1),
-    )
+def _grid_line(w: ComplexPoly, lines: dict, kind: str, anchor: Fraction) -> _Line:
+    """The record of the line (kind, anchor), restricting w on first use."""
+    line = lines.get((kind, anchor))
+    if line is None:
+        m, c = (gauss(0, 1), gauss(anchor)) if kind == "v" else (gauss(1), gauss(0, anchor))
+        re, im = w.compose_affine(m, c).re_im_parts()
+        if re.is_zero() and im.is_zero():
+            raise InvariantViolation("working polynomial vanished on a line")
+        line = lines[kind, anchor] = _Line(sturm_chain(re, im), real_gcd(re, im))
+    return line
 
 
-def _segment_cell(key, count: int) -> Cell:
-    kind, anchor, lo, hi = key
-    weight = QuarterInt.from_int(count)
-    if kind == "h":
-        return Cell(lo, hi, anchor, anchor, weight)
-    return Cell(anchor, anchor, lo, hi, weight)
+def _segment_cells(w: ComplexPoly, lines: dict, kind: str, anchor: Fraction, spans) -> list[Cell]:
+    """1-cells for the open segments (lo, hi) of one line that hold roots."""
+    line = _grid_line(w, lines, kind, anchor)
+    cells = []
+    for lo, hi in spans:
+        count = line.root_count(lo, hi)
+        if count:
+            box = (lo, hi, anchor, anchor) if kind == "h" else (anchor, anchor, lo, hi)
+            cells.append(Cell(*box, QuarterInt.from_int(count)))
+    return cells
 
 
-def _split_cell(w: ComplexPoly, cell: Cell, cache) -> list[Cell]:
+def _split_cell(w: ComplexPoly, cell: Cell, lines: dict) -> list[Cell]:
     """Bisect one cell, returning the retained children (weight > 0)."""
-    children: list[Cell] = []
     if w.degree <= 0:
-        return children
+        return []
     if cell.dim == 1:
         if cell.x0 == cell.x1:
             mid = (cell.y0 + cell.y1) / 2
-            halves = (("v", cell.x0, cell.y0, mid), ("v", cell.x0, mid, cell.y1))
-        else:
-            mid = (cell.x0 + cell.x1) / 2
-            halves = (("h", cell.y0, cell.x0, mid), ("h", cell.y0, mid, cell.x1))
-        for key in halves:
-            count = _segment_root_count(w, key, cache)
-            if count:
-                children.append(_segment_cell(key, count))
-        return children
+            return _segment_cells(w, lines, "v", cell.x0, ((cell.y0, mid), (mid, cell.y1)))
+        mid = (cell.x0 + cell.x1) / 2
+        return _segment_cells(w, lines, "h", cell.y0, ((cell.x0, mid), (mid, cell.x1)))
 
     if cell.dim != 2:
         raise InvariantViolation("0-cells are deflated, never split")
@@ -230,24 +227,24 @@ def _split_cell(w: ComplexPoly, cell: Cell, cache) -> list[Cell]:
         Rectangle(cell.x0, xm, ym, cell.y1),
         Rectangle(xm, cell.x1, ym, cell.y1),
     )
+    children: list[Cell] = []
     for rect in quadrants:
-        closed = count_roots_in_rectangle(w, rect)
-        boundary = sum(_segment_root_count(w, key, cache) for key in _edge_keys(rect))
+        for v in rect.vertices():
+            if not w.eval(v):
+                raise VertexRootError(v)
+        xs, ys = (rect.x0, rect.x1), (rect.y0, rect.y1)
+        bottom, top = (_grid_line(w, lines, "h", y) for y in ys)
+        left, right = (_grid_line(w, lines, "v", x) for x in xs)
+        closed = bottom.index(*xs) + right.index(*ys) - top.index(*xs) - left.index(*ys)
+        edges = ((bottom, xs), (top, xs), (left, ys), (right, ys))
+        boundary = sum(line.root_count(*span) for line, span in edges)
         interior = closed - QuarterInt(2 * boundary)  # half a unit per edge root
         if interior < 0 or not interior.is_integer():
             raise InvariantViolation(f"open-cell count came out as {interior}")
         if interior > 0:
             children.append(Cell(rect.x0, rect.x1, rect.y0, rect.y1, interior))
-    cross = (
-        ("h", ym, cell.x0, xm),
-        ("h", ym, xm, cell.x1),
-        ("v", xm, cell.y0, ym),
-        ("v", xm, ym, cell.y1),
-    )
-    for key in cross:
-        count = _segment_root_count(w, key, cache)
-        if count:
-            children.append(_segment_cell(key, count))
+    children += _segment_cells(w, lines, "h", ym, ((cell.x0, xm), (xm, cell.x1)))
+    children += _segment_cells(w, lines, "v", xm, ((cell.y0, ym), (ym, cell.y1)))
     return children
 
 
@@ -308,9 +305,9 @@ def isolate_roots(f: ComplexPoly, target_diameter: RatLike) -> IsolationState:
                 found.append(z)
 
         while True:
-            cache: dict = {}
+            lines: dict = {}  # grid lines of this generation and this w
             try:
-                parts = [_split_cell(w, c, cache) for c in cells]
+                parts = [_split_cell(w, c, lines) for c in cells]
             except VertexRootError as exc:
                 # All grid points were pre-checked, so this is unexpected;
                 # deflate and recount rather than give a wrong answer.

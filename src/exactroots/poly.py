@@ -398,7 +398,8 @@ def real_gcd(p: RealPoly, q: RealPoly) -> RealPoly:
         _, rem, _ = _int_pseudo_div(a, b)
         a, b = b, rem
         if b:
-            b = [v // _int_content(b) for v in b]
+            cont = _int_content(b)
+            b = [v // cont for v in b]
     g = RealPoly([Fraction(v) for v in a])
     return g.monic()
 

@@ -291,6 +291,53 @@ class TestLimitsAndOptions:
         assert code == 3
         assert json.loads(err)["error"] == "precondition"
 
+    def test_coefficient_size_limit_refuses_powers_before_expanding(self, capsys, monkeypatch):
+        from exactroots.brouwer import BiPoly
+        from exactroots.cli import MAX_COEFF_BITS, _coeff_bits
+
+        expanded = []
+        original = BiPoly.__pow__
+
+        def recording_pow(self, n):
+            expanded.append(_coeff_bits(self) * n)
+            return original(self, n)
+
+        monkeypatch.setattr(BiPoly, "__pow__", recording_pow)
+        for source in ("Z + 2^100000000", "Z - ((9^99)^99)^99"):
+            code, out, err = run_cli(capsys, "routh", source)
+            assert code == 3 and out == ""
+            assert "coefficient size" in json.loads(err)["message"]
+        assert expanded and max(expanded) <= MAX_COEFF_BITS
+
+    def test_coefficient_size_limit_on_products_and_sums(self, capsys):
+        from exactroots.cli import MAX_COEFF_BITS
+
+        near = f"2^{MAX_COEFF_BITS - 1}"
+        assert parse_poly(f"Z + {near}").poly.coeff(0) == 2 ** (MAX_COEFF_BITS - 1)
+        terms = (f"Z + 1/3^{MAX_COEFF_BITS // 4}", f"1/5^{MAX_COEFF_BITS // 10}")
+        for term in terms:
+            parse_poly(term)  # each summand is under the limit, their sum is not
+        for source in (
+            f"Z + {near} * {near}",
+            f"Z + ({near})({near})",
+            f"Z / {near} / {near}",
+            " + ".join(terms),
+        ):
+            code, out, err = run_cli(capsys, "routh", source)
+            assert code == 3 and out == ""
+            assert "coefficient size" in json.loads(err)["message"]
+
+    def test_precision_limit(self, capsys):
+        from exactroots.cli import MAX_PRECISION
+
+        assert MAX_PRECISION >= 40  # the largest K the CLI tests and corpus use
+        over = str(MAX_PRECISION + 1)
+        for argv in (["real-roots", "X^2-2"], ["complex-roots", "Z-1"], ["fixed-point", "X/2", "Y/2"]):
+            code, out, err = run_cli(capsys, *argv, "--precision", over)
+            assert code == 3 and out == ""
+            message = json.loads(err)["message"]
+            assert message == f"precision {over} is over the limit {MAX_PRECISION}"
+
     def test_jobs_rejected_everywhere(self, capsys):
         argvs = [
             ["real-roots", "X^2-2"],

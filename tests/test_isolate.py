@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -131,6 +132,24 @@ class TestIsolateRoots:
         first = isolate_roots(f, Fraction(1, 64))
         second = isolate_roots(f, Fraction(1, 64))
         assert first == second
+
+    def test_one_restriction_per_grid_line_per_generation(self, monkeypatch):
+        original = ComplexPoly.compose_affine
+        calls = Counter()
+
+        def counting(self, m, c):
+            m, c = gauss(m), gauss(c)
+            assert not (m.re and m.im), "restricted to a line that is not axis-parallel"
+            calls[self.coeffs, ("v", c.re) if m.im else ("h", c.im)] += 1
+            return original(self, m, c)
+
+        monkeypatch.setattr(ComplexPoly, "compose_affine", counting)
+        for f in (Z**5 - 5 * Z**4 - 2 * Z**3 - 2 * Z**2 - 3 * Z - 12, (Z**2 - 2) * (Z**2 + 3)):
+            calls.clear()
+            state = isolate_roots(f, Fraction(1, 256))
+            # one restriction per generation, plus one for the initial count
+            # over the Cauchy square, whose edges are the first grid lines
+            assert calls and max(calls.values()) <= state.generation + 1
 
     def test_random_polynomials_accounted(self):
         rng = Random(501)
