@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Mapping
 
-from .cauchy_index import cauchy_index
+from .cauchy_index import sign_var_diff
 from .exact_arith import GaussianRational, RatLike, gauss, power
-from .poly import RealPoly, real_gcd
+from .poly import RealPoly, sturm_chain
 from .winding import QuarterInt, Rectangle
 
 
@@ -258,13 +258,12 @@ def _boundary_scan(
         v = g.Q.restrict_segment(a, b)
         if u.is_zero() and v.is_zero():
             return QuarterInt(0), a  # the whole edge is fixed
-        w = real_gcd(u, v)
-        if w.degree >= 1:
-            for t in _rational_roots(w):
+        chain = sturm_chain(u, v)
+        if chain.gcd.degree >= 1:
+            for t in _rational_roots(chain.gcd):
                 if 0 < t < 1:
                     return QuarterInt(0), a + (b - a) * gauss(t)
-        half = cauchy_index(u, v, 0, 1)
-        total = total + QuarterInt(half.twice)
+        total = total + QuarterInt(sign_var_diff(chain, 0, 1).twice)
     return total, None
 
 
@@ -289,17 +288,9 @@ def fixed_point_search(
         return FixedPointResult(point=exact)
     if index == 0:
         raise SelfMapViolation("boundary index of id - f vanished on the start cell")
-    while _diameter_sq(current) > target * target:
-        xm = (current.x0 + current.x1) / 2
-        ym = (current.y0 + current.y1) / 2
-        quadrants = (
-            Rectangle(current.x0, xm, current.y0, ym),
-            Rectangle(xm, current.x1, current.y0, ym),
-            Rectangle(current.x0, xm, ym, current.y1),
-            Rectangle(xm, current.x1, ym, current.y1),
-        )
+    while current.diameter_sq() > target * target:
         chosen = None
-        for quad in quadrants:
+        for quad in current.quadrants():
             index, exact = _boundary_scan(g, quad)
             if exact is not None:
                 return FixedPointResult(point=exact)
@@ -310,7 +301,3 @@ def fixed_point_search(
             raise SelfMapViolation("no subrectangle kept a nonzero index")
         current = chosen
     return FixedPointResult(cell=current)
-
-
-def _diameter_sq(rect: Rectangle) -> Fraction:
-    return (rect.x1 - rect.x0) ** 2 + (rect.y1 - rect.y0) ** 2

@@ -8,7 +8,9 @@ as quarter-integer fraction strings.  Plot output (csv or svg) converts to
 floating point only at emission; everything upstream is exact.
 
 ``--precision K`` (target diameter 2^-K, default 10, at most
-``MAX_PRECISION``) belongs to real-roots, complex-roots and fixed-point.
+``MAX_PRECISION``) belongs to real-roots, complex-roots and fixed-point;
+``--newton M`` (at most ``MAX_NEWTON_STEPS``) to complex-roots and
+``--samples N`` (at most ``MAX_SAMPLES``) to plot.
 An expression may reach total degree at most ``MAX_DEGREE`` and
 coefficients of at most ``MAX_COEFF_BITS`` bits; a power or product beyond
 either limit is refused before it is expanded.
@@ -49,6 +51,15 @@ MAX_COEFF_BITS = 10_000
 
 # Largest K of --precision K; the target diameter is 2^-K.
 MAX_PRECISION = 64
+
+# Largest M of --newton M.  The iterates are snapped to 2^-(K+2), which
+# quadratic convergence reaches in a few steps; at degree 100 and K = 64 one
+# step costs about 0.04 s per cell, so 100 cells take about a minute.
+MAX_NEWTON_STEPS = 16
+
+# Largest N of --samples N; 4N samples of a degree-100 polynomial take
+# about 21 s at this limit.
+MAX_SAMPLES = 1024
 
 
 class ParseError(ValueError):
@@ -303,12 +314,16 @@ def _rect_obj(rect: Rectangle | Cell) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _option_limit(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{name} {value} is over the limit {limit}")
+
+
 def _target(args) -> Fraction:
     """The target diameter 2^-K of a command with --precision K."""
     if args.precision <= 0:
         raise ValueError("precision must be positive")
-    if args.precision > MAX_PRECISION:
-        raise ValueError(f"precision {args.precision} is over the limit {MAX_PRECISION}")
+    _option_limit("precision", args.precision, MAX_PRECISION)
     return Fraction(1, 2**args.precision)
 
 
@@ -407,6 +422,10 @@ def cmd_real_roots(args) -> dict:
 def cmd_complex_roots(args) -> dict:
     expr = parse_poly(_read_source(args.poly))
     target = _target(args)
+    if args.newton is not None:
+        if args.newton < 0:
+            raise ValueError("newton steps must be nonnegative")
+        _option_limit("newton steps", args.newton, MAX_NEWTON_STEPS)
     if expr.poly.is_zero() or expr.poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     state = isolate_roots(expr.poly, target)
@@ -512,6 +531,7 @@ def cmd_plot(args) -> str:
     expr = parse_poly(_read_source(args.poly))
     if args.samples < 4:
         raise ValueError("need at least 4 samples per edge (16 total)")
+    _option_limit("samples", args.samples, MAX_SAMPLES)
     edges = _boundary_samples(expr.poly, args.rect, args.samples)
     if args.format == "svg":
         return _render_svg(edges)

@@ -8,8 +8,8 @@ every root of a square-free working polynomial:
 * a 1-cell is an open axis-parallel segment, counted by the real roots of
   the gcd of the real and imaginary parts of the polynomial on its line;
 * both counts come from one restriction per grid line and generation: the
-  Sturm chain of re/im and the gcd on that line give the index and the
-  root count of any of its segments from the signs at the two endpoints;
+  Sturm chain of re/im on that line, which ends in their gcd, gives the
+  index and the root count of any of its segments from endpoint signs;
 * grid points produced by bisection are evaluated exactly; when one turns
   out to be a root, that root is divided out of the working polynomial
   (deflation) and recorded, which keeps every counting theorem applicable.
@@ -38,7 +38,7 @@ from .exact_arith import (
     gauss,
     modulus_bounds,
 )
-from .poly import ComplexPoly, RealPoly, SturmChain, real_gcd, square_free_part, sturm_chain
+from .poly import ComplexPoly, SturmChain, square_free_part, sturm_chain
 from .winding import (
     QuarterInt,
     Rectangle,
@@ -73,8 +73,7 @@ class Cell:
     def dim(self) -> int:
         return int(self.x0 < self.x1) + int(self.y0 < self.y1)
 
-    def diameter_sq(self) -> Fraction:
-        return (self.x1 - self.x0) ** 2 + (self.y1 - self.y0) ** 2
+    diameter_sq = Rectangle.diameter_sq  # same fields, degenerate sides allowed
 
     def center(self) -> GaussianRational:
         return gauss((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
@@ -159,14 +158,13 @@ def deflate_vertex_root(f: ComplexPoly, z0: GaussianRational) -> tuple[ComplexPo
 @dataclass(frozen=True)
 class _Line:
     """w restricted to the line ('h', y) as t -> w(t + i*y), or to ('v', x)
-    as t -> w(x + i*t): the Sturm chain of re/im and gcd(re, im).
+    as t -> w(x + i*t): the Sturm chain of re/im, which carries gcd(re, im).
 
     A segment lo < t < hi is a positive affine reparametrization of the
     line, so it has the same Cauchy indices and the same roots.
     """
 
     chain: SturmChain
-    gcd: RealPoly
 
     def index(self, lo: Fraction, hi: Fraction) -> QuarterInt:
         """Index of w along the line from lo to hi: half the Cauchy index."""
@@ -174,9 +172,10 @@ class _Line:
 
     def root_count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots of w on the open segment; lo and hi are non-roots."""
-        if self.gcd.degree <= 0:
+        gcd = self.chain.gcd
+        if gcd.degree <= 0:
             return 0
-        half = count_real_roots(self.gcd, lo, hi)
+        half = count_real_roots(gcd, lo, hi)
         if not half.is_integer():
             raise InvariantViolation("segment count hit a boundary root")
         return half.twice // 2
@@ -190,7 +189,7 @@ def _grid_line(w: ComplexPoly, lines: dict, kind: str, anchor: Fraction) -> _Lin
         re, im = w.compose_affine(m, c).re_im_parts()
         if re.is_zero() and im.is_zero():
             raise InvariantViolation("working polynomial vanished on a line")
-        line = lines[kind, anchor] = _Line(sturm_chain(re, im), real_gcd(re, im))
+        line = lines[kind, anchor] = _Line(sturm_chain(re, im))
     return line
 
 
@@ -219,14 +218,8 @@ def _split_cell(w: ComplexPoly, cell: Cell, lines: dict) -> list[Cell]:
 
     if cell.dim != 2:
         raise InvariantViolation("0-cells are deflated, never split")
-    xm = (cell.x0 + cell.x1) / 2
-    ym = (cell.y0 + cell.y1) / 2
-    quadrants = (
-        Rectangle(cell.x0, xm, cell.y0, ym),
-        Rectangle(xm, cell.x1, cell.y0, ym),
-        Rectangle(cell.x0, xm, ym, cell.y1),
-        Rectangle(xm, cell.x1, ym, cell.y1),
-    )
+    quadrants = Rectangle(cell.x0, cell.x1, cell.y0, cell.y1).quadrants()
+    xm, ym = quadrants[0].x1, quadrants[0].y1
     children: list[Cell] = []
     for rect in quadrants:
         for v in rect.vertices():

@@ -386,22 +386,10 @@ def _int_content(p: list[int]) -> int:
 
 
 def real_gcd(p: RealPoly, q: RealPoly) -> RealPoly:
-    """Monic gcd over Q; error when both arguments are zero."""
+    """Monic gcd over Q, read off the Sturm chain of p/q; error for (0, 0)."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    a, b = _int_primitive(p), _int_primitive(q)
-    while b:
-        _, rem, _ = _int_pseudo_div(a, b)
-        a, b = b, rem
-        if b:
-            cont = _int_content(b)
-            b = [v // cont for v in b]
-    g = RealPoly([Fraction(v) for v in a])
-    return g.monic()
+    return sturm_chain(p, q).gcd
 
 
 def complex_gcd(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
@@ -445,11 +433,13 @@ class SturmChain:
     this follows from the certified three-term relations since a_k, b_k > 0.
     The terminal member is the constant 1 after gcd removal, except for the
     two degenerate chains ``(0, 1)`` (zero denominator) and ``(1)`` (zero
-    numerator), whose sign variation is constant.
+    numerator), whose sign variation is constant.  ``gcd`` is the monic gcd
+    of the numerator and the denominator (zero when both are zero).
     """
 
     polys: tuple[RealPoly, ...]
     links: tuple[SturmLink, ...]
+    gcd: RealPoly
 
     def __len__(self):
         return len(self.polys)
@@ -476,13 +466,13 @@ def sturm_chain(r: RealPoly, s: RealPoly) -> SturmChain:
     Starts from S_0 ~ s and S_1 ~ r, iterates pseudo-euclidean division with
     even exponents, divides every remainder by its positive content, and
     finally divides the whole chain by its last member so the terminal is
-    the constant 1.  Degenerate inputs yield the chains ``(1)`` (r = 0) and
-    ``(0, 1)`` (s = 0, r != 0).
+    the constant 1; that last member, made monic, is gcd(r, s).  Degenerate
+    inputs yield the chains ``(1)`` (r = 0) and ``(0, 1)`` (s = 0, r != 0).
     """
     if r.is_zero():
-        return SturmChain((RealPoly.one(),), ())
+        return SturmChain((RealPoly.one(),), (), s.monic() if s else s)
     if s.is_zero():
-        return SturmChain((RealPoly.zero(), RealPoly.one()), ())
+        return SturmChain((RealPoly.zero(), RealPoly.one()), (), r.monic())
 
     chain = [_int_primitive(s), _int_primitive(r)]
     links: list[SturmLink] = []
@@ -513,4 +503,4 @@ def sturm_chain(r: RealPoly, s: RealPoly) -> SturmChain:
     else:
         c = Fraction(g[0])
         polys = tuple(RealPoly([Fraction(v) / c for v in p]) for p in chain)
-    return SturmChain(polys, tuple(links))
+    return SturmChain(polys, tuple(links), RealPoly([Fraction(v) for v in g]).monic())

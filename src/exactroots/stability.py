@@ -9,10 +9,13 @@ coefficients; otherwise the contribution through infinity is picked up by
 the reversed polynomial Y^n * F(i/Y) over a window [-1/r, 1/r], with r
 beyond every root of every numerator and denominator involved.
 
-Roots exactly on the imaginary axis are the common real zeros of the two
-parts; their number, with multiplicity, is resolved by counting on the
-repeated-gcd tower F, gcd(F, F'), gcd(gcd, gcd'), ...  Together with
-p - q this pins down p and q individually.
+Roots exactly on the imaginary axis are counted with real polynomials
+only: iy is an m-fold root of F exactly when y is an m-fold real root of
+g = gcd(re F(iY), im F(iY)), which the Routh index's Sturm chain already
+carries.  The distinct real roots of g, g_1 = gcd(g, g'), g_2 =
+gcd(g_1, g_1'), ... add up to the real roots of g with multiplicity, and
+each level's count and next gcd come from one Sturm chain of g'/g.
+Together with p - q this pins down p and q individually.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cauchy_index import HalfInt, cauchy_index, cauchy_index_infinite, count_real_roots
-from .exact_arith import I, InvariantViolation, gauss
-from .poly import ComplexPoly, RealPoly, complex_gcd, real_gcd
+from .cauchy_index import HalfInt, cauchy_index, sign_var_diff, sign_var_diff_infinite
+from .exact_arith import I, InvariantViolation
+from .poly import ComplexPoly, RealPoly, SturmChain, sturm_chain
 from .winding import cauchy_radius
 
 
@@ -43,22 +46,25 @@ class HalfPlaneCount:
         return self.p + self.q + self.imaginary_axis
 
 
-def _imaginary_axis_parts(f: ComplexPoly) -> tuple[RealPoly, RealPoly]:
-    """Real and imaginary parts of F(iY) as real polynomials in Y."""
-    return f.compose_affine(I, gauss(0)).re_im_parts()
-
-
-def _reversed_parts(f: ComplexPoly) -> tuple[RealPoly, RealPoly]:
-    """Real and imaginary parts of Y^n * F(i/Y)."""
-    n = f.degree
-    coeffs = [f.coeff(n - j) * I ** (n - j) for j in range(n + 1)]
-    return ComplexPoly(coeffs).re_im_parts()
-
-
 def _real_root_window(polys) -> Fraction:
     """A rational r with every real root of every given poly inside ]-r, r[."""
     radii = (cauchy_radius(p.to_complex()) for p in polys if p.degree >= 1)
     return 1 + max(radii, default=Fraction(1))
+
+
+def _routh_index(f: ComplexPoly) -> tuple[HalfInt, SturmChain]:
+    """p - q, and the Sturm chain of re F(iY) / im F(iY) it is read from."""
+    coeffs = [c * I**k for k, c in enumerate(f.coeffs)]  # F(iY)
+    re_part, im_part = ComplexPoly(coeffs).re_im_parts()
+    if re_part.is_zero() and im_part.is_zero():
+        raise InvariantViolation("nonzero polynomial with zero axis restriction")
+    chain = sturm_chain(re_part, im_part)
+    if im_part.degree >= re_part.degree:
+        return -sign_var_diff_infinite(chain), chain
+    re_rev, im_rev = ComplexPoly(coeffs[::-1]).re_im_parts()  # Y^n * F(i/Y)
+    r = _real_root_window([re_part, im_part, re_rev, im_rev])
+    through_infinity = cauchy_index(re_rev, im_rev, -1 / r, 1 / r)
+    return through_infinity - sign_var_diff(chain, -r, r), chain
 
 
 def routh_index(f: ComplexPoly) -> HalfInt:
@@ -70,37 +76,16 @@ def routh_index(f: ComplexPoly) -> HalfInt:
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Routh index")
-    re_part, im_part = _imaginary_axis_parts(f)
-    if im_part.degree >= re_part.degree:
-        return -cauchy_index_infinite(re_part, im_part)
-    re_rev, im_rev = _reversed_parts(f)
-    r = _real_root_window([re_part, im_part, re_rev, im_rev])
-    finite = cauchy_index(re_part, im_part, r, -r)
-    through_infinity = cauchy_index(re_rev, im_rev, -1 / r, 1 / r)
-    return finite + through_infinity
+    return _routh_index(f)[0]
 
 
-def _distinct_axis_roots(f: ComplexPoly) -> int:
-    re_part, im_part = _imaginary_axis_parts(f)
-    if re_part.is_zero() and im_part.is_zero():
-        raise InvariantViolation("nonzero polynomial with zero axis restriction")
-    g = real_gcd(re_part, im_part)
-    if g.degree <= 0:
-        return 0
-    r = _real_root_window([g])
-    count = count_real_roots(g, -r, r)
-    if not count.is_integer():
-        raise InvariantViolation("axis root count hit the window boundary")
-    return count.twice // 2
-
-
-def _axis_roots_with_multiplicity(f: ComplexPoly) -> int:
-    # Level i of the gcd tower sees exactly the roots of multiplicity > i.
+def _real_roots_with_multiplicity(g: RealPoly) -> int:
+    # Level j sees exactly the real roots of g of multiplicity > j.
     total = 0
-    g = f
     while g.degree >= 1:
-        total += _distinct_axis_roots(g)
-        g = complex_gcd(g, g.derivative())
+        chain = sturm_chain(g.derivative(), g)
+        total += sign_var_diff_infinite(chain).twice // 2
+        g = chain.gcd
     return total
 
 
@@ -112,11 +97,11 @@ def half_plane_count(f: ComplexPoly) -> HalfPlaneCount:
     """
     if f.is_zero() or f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    routh = routh_index(f)
+    routh, chain = _routh_index(f)
     if not routh.is_integer():
         raise InvariantViolation(f"Routh index {routh} is not an integer")
     diff = routh.twice // 2
-    axis = _axis_roots_with_multiplicity(f)
+    axis = _real_roots_with_multiplicity(chain.gcd)  # iy is an m-fold root of F
     total = f.degree - axis
     if total < 0 or (total + diff) % 2:
         raise InvariantViolation(f"inconsistent counts p+q={total}, p-q={diff}")

@@ -131,6 +131,21 @@ class Rectangle:
             gauss(self.x0, self.y1),
         )
 
+    def quadrants(self) -> tuple["Rectangle", ...]:
+        """The four halves at the midpoints: lower left, lower right, upper
+        left, upper right."""
+        xm = (self.x0 + self.x1) / 2
+        ym = (self.y0 + self.y1) / 2
+        return (
+            Rectangle(self.x0, xm, self.y0, ym),
+            Rectangle(xm, self.x1, self.y0, ym),
+            Rectangle(self.x0, xm, ym, self.y1),
+            Rectangle(xm, self.x1, ym, self.y1),
+        )
+
+    def diameter_sq(self) -> Fraction:
+        return (self.x1 - self.x0) ** 2 + (self.y1 - self.y0) ** 2
+
     def __str__(self) -> str:
         return f"[{self.x0},{self.x1}]x[{self.y0},{self.y1}]"
 

@@ -338,6 +338,51 @@ class TestLimitsAndOptions:
             message = json.loads(err)["message"]
             assert message == f"precision {over} is over the limit {MAX_PRECISION}"
 
+    def test_newton_and_sample_limits(self, capsys, monkeypatch):
+        import exactroots.cli as cli
+
+        calls = []
+
+        def never(name):
+            def fail(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran for a rejected option")
+            return fail
+
+        for name in ("isolate_roots", "newton_step", "_boundary_samples"):
+            monkeypatch.setattr(cli, name, never(name))
+        cases = [
+            (["complex-roots", "Z^2-2", "--newton", "-1"], "newton steps must be nonnegative"),
+            (["complex-roots", "Z^2-2", "--newton", str(cli.MAX_NEWTON_STEPS + 1)],
+             f"newton steps {cli.MAX_NEWTON_STEPS + 1} is over the limit {cli.MAX_NEWTON_STEPS}"),
+            (["complex-roots", "Z^2-2", "--newton", "1000000000"],
+             f"newton steps 1000000000 is over the limit {cli.MAX_NEWTON_STEPS}"),
+            (["plot", "Z", "--rect", "-1,1,-1,1", "--samples", str(cli.MAX_SAMPLES + 1)],
+             f"samples {cli.MAX_SAMPLES + 1} is over the limit {cli.MAX_SAMPLES}"),
+            (["plot", "Z", "--rect", "-1,1,-1,1", "--samples", "1000000000"],
+             f"samples 1000000000 is over the limit {cli.MAX_SAMPLES}"),
+        ]
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == ""
+            assert json.loads(err) == {"error": "precondition", "message": message}
+        assert calls == []
+
+    def test_newton_and_sample_limits_are_accepted(self, capsys):
+        from exactroots.cli import MAX_NEWTON_STEPS, MAX_SAMPLES
+
+        assert MAX_NEWTON_STEPS >= 3 and MAX_SAMPLES >= 64  # corpus and defaults
+        code, out, _ = run_cli(
+            capsys, "complex-roots", "Z^2-2", "--newton", str(MAX_NEWTON_STEPS)
+        )
+        assert code == 0 and len(json.loads(out)["newton_refined"]) == 2
+        code, out, _ = run_cli(capsys, "complex-roots", "Z^2-2", "--newton", "0")
+        assert code == 0 and "newton_refined" not in json.loads(out)
+        code, out, _ = run_cli(
+            capsys, "plot", "Z", "--rect", "-1,1,-1,1", "--samples", str(MAX_SAMPLES)
+        )
+        assert code == 0 and len(out.splitlines()) == 1 + 4 * MAX_SAMPLES
+
     def test_jobs_rejected_everywhere(self, capsys):
         argvs = [
             ["real-roots", "X^2-2"],

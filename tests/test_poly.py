@@ -213,6 +213,29 @@ class TestSturmChain:
         assert sturm_chain(RealPoly.zero(), X).polys == (RealPoly.one(),)
         assert sturm_chain(RealPoly.zero(), RealPoly.zero()).polys == (RealPoly.one(),)
 
+    def test_gcd_matches_fraction_euclid(self):
+        def euclid(a: RealPoly, b: RealPoly) -> RealPoly:
+            # field Euclid over Q, sharing no code with the integer kernel
+            while not b.is_zero():
+                a, b = b, a.divmod(b)[1]
+            return a.monic()
+
+        rng = Random(209)
+        nontrivial = 0
+        for _ in range(60):
+            common = rnd_real_poly(rng, 3) ** rng.randint(1, 2)
+            r = common * rnd_real_poly(rng, 3)
+            s = common * rnd_real_poly(rng, 3)
+            g = sturm_chain(r, s).gcd
+            assert g == euclid(r, s)
+            assert g == sturm_chain(s, r).gcd
+            nontrivial += g.degree >= 1
+        assert nontrivial >= 30
+        for p in (X**2 - 2, (X - 1) ** 3 * 3, RealPoly.const(Fraction(-5, 7))):
+            assert sturm_chain(RealPoly.zero(), p).gcd == euclid(RealPoly.zero(), p)
+            assert sturm_chain(p, RealPoly.zero()).gcd == euclid(p, RealPoly.zero())
+        assert sturm_chain(RealPoly.zero(), RealPoly.zero()).gcd == RealPoly.zero()
+
     def test_terminal_is_one(self):
         rng = Random(207)
         for _ in range(40):

@@ -66,6 +66,28 @@ class TestHalfPlaneCount:
         assert half_plane_count(f) == HalfPlaneCount(1, 0, 4)
         g = Z**3  # triple root at the origin
         assert half_plane_count(g) == HalfPlaneCount(0, 0, 3)
+        assert half_plane_count((Z**2 + 1) ** 3 * (Z + 1)) == HalfPlaneCount(0, 1, 6)
+        assert half_plane_count((Z - 2 * I) ** 3 * Z**2) == HalfPlaneCount(0, 0, 5)
+        # an irrational axis pair +- i*sqrt(3), each double
+        assert half_plane_count((Z**2 + 3) ** 2) == HalfPlaneCount(0, 0, 4)
+        assert half_plane_count((Z**2 + 3) ** 2 * (Z - 1)) == HalfPlaneCount(1, 0, 4)
+        # repeated roots off the axis next to repeated roots on it
+        h = (Z - 1) ** 2 * (Z + gauss(2, 1)) ** 3 * (Z - I) ** 2
+        assert half_plane_count(h) == HalfPlaneCount(2, 3, 2)
+        # Gaussian coefficients without conjugate symmetry
+        k = (Z - 2 * I) ** 2 * (Z - gauss(1, 1)) * (Z + gauss(0, Fraction(1, 2))) ** 3
+        assert half_plane_count(k) == HalfPlaneCount(1, 0, 5)
+        m = (Z - gauss(0, Fraction(1, 3))) ** 3 * (Z - gauss(Fraction(-1, 2), 5)) ** 2
+        assert half_plane_count(m) == HalfPlaneCount(0, 2, 3)
+
+    def test_axis_roots_need_no_complex_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("axis roots are counted over Q, not Q[i]")
+
+        monkeypatch.setattr("exactroots.stability.complex_gcd", refuse, raising=False)
+        f = (Z**2 + 3) ** 2 * (Z - 2 * I) ** 3 * (Z - gauss(1, 1)) ** 2
+        assert half_plane_count(f) == HalfPlaneCount(2, 0, 7)
+        assert half_plane_count(Z**2 + 3 * Z + 2) == HalfPlaneCount(0, 2, 0)
 
     def test_irrational_axis_roots(self):
         f = Z**2 + 3  # roots +- i*sqrt(3)
