@@ -9,7 +9,12 @@ every root of a square-free working polynomial:
   the gcd of the real and imaginary parts of the polynomial on its line;
 * both counts come from one restriction per grid line and generation: the
   Sturm chain of re/im on that line, which ends in their gcd, gives the
-  index and the root count of any of its segments from endpoint signs;
+  index of any of its segments from endpoint signs, and on a line where
+  the gcd is not constant, the chain of gcd'/gcd, built on the first
+  query, gives the root count of any of its segments the same way;
+* restriction, endpoint signs and the zero tests at grid points run on
+  integers (see :mod:`exactroots.poly`), so a generation's cost is a few
+  integer Horner passes per line and point, not rational arithmetic;
 * grid points produced by bisection are evaluated exactly; when one turns
   out to be a root, that root is divided out of the working polynomial
   (deflation) and recorded, which keeps every counting theorem applicable.
@@ -28,9 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .cauchy_index import count_real_roots, sign_var_diff
+# count_real_roots stays bound here: bench/test_bench.py checks that the
+# tracer reaches this copied binding.
+from .cauchy_index import count_real_roots, sign_var_diff  # noqa: F401
 from .exact_arith import (
     GaussianRational,
     InvariantViolation,
@@ -170,12 +178,17 @@ class _Line:
         """Index of w along the line from lo to hi: half the Cauchy index."""
         return QuarterInt(sign_var_diff(self.chain, lo, hi).twice)
 
-    def root_count(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots of w on the open segment; lo and hi are non-roots."""
+    @cached_property
+    def root_chain(self) -> SturmChain:
+        """Sturm chain of gcd'/gcd, which counts the roots on the line."""
         gcd = self.chain.gcd
-        if gcd.degree <= 0:
+        return sturm_chain(gcd.derivative(), gcd)
+
+    def root_count(self, lo: Fraction, hi: Fraction) -> int:
+        """Distinct roots of w on the open segment; lo < hi are non-roots."""
+        if self.chain.gcd.degree <= 0:
             return 0
-        half = count_real_roots(gcd, lo, hi)
+        half = sign_var_diff(self.root_chain, lo, hi)
         if not half.is_integer():
             raise InvariantViolation("segment count hit a boundary root")
         return half.twice // 2

@@ -11,12 +11,24 @@ Coefficients are stored densely, index k holding the coefficient of X^k,
 with no trailing zeros.  The zero polynomial is the empty tuple and has
 degree ``-inf`` so that degree comparisons need no special cases.
 
+Evaluation and affine substitution run on integers.  A polynomial's
+Gaussian-integer form (one positive common denominator and the integer
+real and imaginary parts of its coefficients) is computed once per
+instance.  The point, or m and c of ``p(m*X + c)``, is cleared to one
+positive denominator s as well, and homogeneous Horner on ``(re, im)``
+int pairs carries the powers of s, so only the final division by
+``den * s^n`` builds fractions.
+
 Sturm chains are built by pseudo-euclidean division with an even exponent
 (``c^d * S = P*Q - R``) followed by primitive-part extraction of each
-remainder.  Both steps only ever rescale chain members by positive
-rationals, so all sign data is preserved exactly while coefficient swell
-stays polynomial instead of exponential.  Each chain carries a certificate
-of positive rationals (a_k, b_k) and link polynomials Q_k with
+remainder, all on integer coefficient lists.  Both steps only ever rescale
+chain members by positive rationals, so all sign data is preserved
+exactly while coefficient swell stays polynomial instead of exponential.
+The chain keeps its members as integer tuples and reads the sign of a
+member S of degree n at x = a/b (b > 0) from the integer
+``sum c_k a^k b^(n-k) = b^n * S(x)``, again by homogeneous Horner.  Each
+chain carries a certificate of positive integers (a_k, b_k) and link
+polynomials Q_k with
 
     a_k * S_{k-1} + b_k * S_{k+1} = Q_k * S_k      (0 < k < n)
 
@@ -26,21 +38,33 @@ which is the three-term relation that makes the sign-variation count work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
 from .exact_arith import GaussianRational, InvariantViolation, gauss, power, sign
 
 NEG_INF = float("-inf")
+_ZERO = Fraction(0)
 
 
 class _Poly:
     """Shared dense-polynomial core; subclasses fix the scalar ring."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_gauss_ints")
 
     @staticmethod
     def _coerce(value):  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    @staticmethod
+    def _parts(value) -> tuple[Fraction, Fraction]:  # pragma: no cover - overridden
+        """Real and imaginary part of a coerced scalar."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _scalar(re: int, im: int, den: int):  # pragma: no cover - overridden
+        """The scalar (re + im*i) / den, for den > 0."""
         raise NotImplementedError
 
     def __init__(self, coeffs=()):
@@ -157,21 +181,81 @@ class _Poly:
         """Formal derivative, sum k * c_k X^(k-1)."""
         return type(self)([k * c for k, c in enumerate(self.coeffs)][1:])
 
+    def _ints(self) -> tuple[int, list[int], list[int]]:
+        """Gaussian-integer form ``(den, re, im)``: c_k = (re[k] + im[k]*i) / den.
+
+        den > 0 is the least common denominator of all coefficient parts;
+        the form is computed on first use and kept on the instance.
+        """
+        try:
+            return self._gauss_ints
+        except AttributeError:
+            pass
+        parts = [self._parts(c) for c in self.coeffs]
+        den = 1
+        for re, im in parts:
+            den = int_lcm(den, re.denominator, im.denominator)
+        form = (
+            den,
+            [re.numerator * (den // re.denominator) for re, _ in parts],
+            [im.numerator * (den // im.denominator) for _, im in parts],
+        )
+        object.__setattr__(self, "_gauss_ints", form)
+        return form
+
+    def _cleared(self, *xs) -> tuple[int, list[tuple[int, int]]]:
+        """Scalars over one denominator: ``(s, [(re, im), ...])`` with
+        x = (re + im*i) / s for each x, and s > 0."""
+        parts = [self._parts(self._coerce(x)) for x in xs]
+        s = int_lcm(*(v.denominator for pair in parts for v in pair))
+        return s, [(re.numerator * (s // re.denominator), im.numerator * (s // im.denominator))
+                   for re, im in parts]
+
     def eval(self, x):
-        """Evaluate by Horner's rule at a scalar point."""
-        x = self._coerce(x)
-        acc = self._coerce(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at a scalar point, exactly.
+
+        With x = (p + q*i)/s, homogeneous Horner on Gaussian integers gives
+        N = sum c_k (p + q*i)^k s^(n-k) times den; the value is N / (den*s^n).
+        """
+        s, [(p, q)] = self._cleared(x)
+        den, res, ims = self._ints()
+        if not res:
+            return self._scalar(0, 0, 1)
+        ar, ai = res[-1], ims[-1]
+        spow = 1
+        for k in range(len(res) - 2, -1, -1):
+            spow *= s
+            ar, ai = ar * p - ai * q + res[k] * spow, ar * q + ai * p + ims[k] * spow
+        return self._scalar(ar, ai, den * spow)
 
     def compose_affine(self, m, c):
-        """The polynomial ``p(m*X + c)``, expanded by Horner."""
-        lin = type(self)((c, m))
-        acc = type(self).zero()
-        for a in reversed(self.coeffs):
-            acc = acc * lin + type(self).const(a)
-        return acc
+        """The polynomial ``p(m*X + c)``, exactly.
+
+        With m = M/s and c = C/s, homogeneous Horner on Gaussian integers
+        expands sum c_k (M*X + C)^k s^(n-k) times den, which is divided by
+        den*s^n once at the end.
+        """
+        s, [(mr, mi), (cr, ci)] = self._cleared(m, c)
+        den, res, ims = self._ints()
+        if not res:
+            return type(self).zero()
+        acc_r, acc_i = [res[-1]], [ims[-1]]
+        spow = 1
+        for k in range(len(res) - 2, -1, -1):
+            spow *= s
+            # acc * (M*X + C) + c_k * s^(n-k)
+            out_r = [a * cr - b * ci for a, b in zip(acc_r, acc_i)]
+            out_i = [a * ci + b * cr for a, b in zip(acc_r, acc_i)]
+            out_r.append(0)
+            out_i.append(0)
+            for j, (a, b) in enumerate(zip(acc_r, acc_i), 1):
+                out_r[j] += a * mr - b * mi
+                out_i[j] += a * mi + b * mr
+            out_r[0] += res[k] * spow
+            out_i[0] += ims[k] * spow
+            acc_r, acc_i = out_r, out_i
+        scale = den * spow
+        return type(self)([self._scalar(a, b, scale) for a, b in zip(acc_r, acc_i)])
 
     # -- field division ---------------------------------------------------
 
@@ -230,6 +314,14 @@ class RealPoly(_Poly):
             raise TypeError("RealPoly coefficients must be rational")
         return Fraction(value)
 
+    @staticmethod
+    def _parts(value):
+        return value, _ZERO
+
+    @staticmethod
+    def _scalar(re, im, den):
+        return Fraction(re, den)
+
     def sign_at(self, x) -> int:
         """Exact sign of p(x); evaluation is over Q, no tolerances."""
         return sign(self.eval(x))
@@ -264,6 +356,14 @@ class ComplexPoly(_Poly):
     @staticmethod
     def _coerce(value):
         return gauss(value)
+
+    @staticmethod
+    def _parts(value):
+        return value.re, value.im
+
+    @staticmethod
+    def _scalar(re, im, den):
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def re_im_parts(self) -> tuple[RealPoly, RealPoly]:
         """Coefficient-wise real and imaginary parts as real polynomials."""
@@ -332,10 +432,7 @@ def pseudo_div(s: RealPoly, p: RealPoly) -> tuple[RealPoly, RealPoly, int]:
 
 
 def _int_primitive(p: RealPoly) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        den = int_lcm(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    _, ints, _ = p._ints()
     g = _int_content(ints)
     return [v // g for v in ints] if g else []
 
@@ -364,13 +461,16 @@ def _int_divmod(s: list[int], p: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _int_pseudo_div(s: list[int], p: list[int]) -> tuple[list[int], list[int], int]:
-    """Integer pseudo-division: lc(p)^d * s = p*q + rem, deg rem < deg p."""
+    """Integer pseudo-division: lc(p)^d * s = p*q + rem, deg rem < deg p.
+
+    d is even, so the returned scale lc(p)^d is positive.
+    """
     d = max(0, len(s) - len(p) + 1) if s else 0
     if d % 2:
         d += 1
     scale = p[-1] ** d
     q, rem = _int_divmod([v * scale for v in s], p)
-    return q, rem, d
+    return q, rem, scale
 
 
 def _int_content(p: list[int]) -> int:
@@ -431,76 +531,95 @@ class SturmChain:
 
     At every zero x of an interior member, S_{k-1}(x) * S_{k+1}(x) < 0;
     this follows from the certified three-term relations since a_k, b_k > 0.
-    The terminal member is the constant 1 after gcd removal, except for the
-    two degenerate chains ``(0, 1)`` (zero denominator) and ``(1)`` (zero
-    numerator), whose sign variation is constant.  ``gcd`` is the monic gcd
-    of the numerator and the denominator (zero when both are zero).
+    ``members`` holds the S_k as integer coefficient tuples whose terminal
+    is a positive constant: 1 after gcd removal, else the last remainder,
+    up to sign.  ``steps`` holds each relation as integers (a_k, b_k, Q_k).
+    The two degenerate chains are ``(0, 1)`` (zero denominator) and ``(1)``
+    (zero numerator), whose sign variation is constant.  ``gcd`` is the
+    monic gcd of the numerator and the denominator (zero when both are
+    zero).  ``polys`` (terminal scaled to 1) and ``links`` are rational
+    views, built on first access.
     """
 
-    polys: tuple[RealPoly, ...]
-    links: tuple[SturmLink, ...]
+    members: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, int, tuple[int, ...]], ...]
     gcd: RealPoly
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.members)
+
+    @cached_property
+    def polys(self) -> tuple[RealPoly, ...]:
+        t = self.members[-1][0]
+        return tuple(RealPoly([Fraction(v, t) for v in p]) for p in self.members)
+
+    @cached_property
+    def links(self) -> tuple[SturmLink, ...]:
+        return tuple(SturmLink(Fraction(a), Fraction(b), RealPoly(q)) for a, b, q in self.steps)
 
     def signs_at(self, x) -> list[int]:
-        return [p.sign_at(x) for p in self.polys]
+        """Signs of the members at the rational x = a/b, b > 0.
+
+        A member of degree n has the sign of sum c_k a^k b^(n-k) = b^n S(x),
+        evaluated by homogeneous Horner on integers.
+        """
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        powers = [b]
+        for _ in range(len(max(self.members, key=len)) - 2):
+            powers.append(powers[-1] * b)
+        out = []
+        for p in self.members:
+            if not p:
+                out.append(0)
+                continue
+            acc = p[-1]
+            for c, bk in zip(p[-2::-1], powers):
+                acc = acc * a + c * bk
+            out.append((acc > 0) - (acc < 0))
+        return out
 
     def signs_at_infinity(self, direction: int) -> list[int]:
         """Signs of the members beyond all roots (+1: at +oo, -1: at -oo)."""
-        out = []
-        for p in self.polys:
-            if p.is_zero():
-                out.append(0)
-            elif direction > 0:
-                out.append(sign(p.leading_coeff()))
-            else:
-                out.append(sign(p.leading_coeff()) * (-1) ** p.degree)
-        return out
+        flip = -1 if direction < 0 else 1
+        return [sign(p[-1]) * flip ** (len(p) - 1) if p else 0 for p in self.members]
 
 
 def sturm_chain(r: RealPoly, s: RealPoly) -> SturmChain:
     """Euclidean Sturm chain of the fraction r/s, up to positive rescalings.
 
     Starts from S_0 ~ s and S_1 ~ r, iterates pseudo-euclidean division with
-    even exponents, divides every remainder by its positive content, and
-    finally divides the whole chain by its last member so the terminal is
-    the constant 1; that last member, made monic, is gcd(r, s).  Degenerate
-    inputs yield the chains ``(1)`` (r = 0) and ``(0, 1)`` (s = 0, r != 0).
+    even exponents and divides every remainder by its positive content.  If
+    the last member is not constant, it is gcd(r, s) up to a rational, and
+    the whole chain is divided by it; otherwise every member is multiplied
+    by the sign of that constant.  Either way the terminal is a positive
+    integer and no sign variation changes.  Degenerate inputs yield the
+    chains ``(1)`` (r = 0) and ``(0, 1)`` (s = 0, r != 0).
     """
     if r.is_zero():
-        return SturmChain((RealPoly.one(),), (), s.monic() if s else s)
+        return SturmChain(((1,),), (), s.monic() if s else s)
     if s.is_zero():
-        return SturmChain((RealPoly.zero(), RealPoly.one()), (), r.monic())
+        return SturmChain(((), (1,)), (), r.monic())
 
     chain = [_int_primitive(s), _int_primitive(r)]
-    links: list[SturmLink] = []
+    steps = []
     while True:
         prev, cur = chain[-2], chain[-1]
-        q, rem, d = _int_pseudo_div(prev, cur)
+        q, rem, scale = _int_pseudo_div(prev, cur)
         if not rem:
             break
         cont = _int_content(rem)
-        # lc^d * prev = cur*q + rem, so with nxt := -rem/cont the certified
-        # relation lc^d * S_{k-1} + cont * S_{k+1} = q * S_k holds exactly.
-        nxt = [-(v // cont) for v in rem]
-        links.append(
-            SturmLink(
-                a=Fraction(cur[-1] ** d),
-                b=Fraction(cont),
-                q=RealPoly([Fraction(v) for v in q]),
-            )
-        )
-        chain.append(nxt)
+        # scale * prev = cur*q + rem, so with nxt := -rem/cont the certified
+        # relation scale * S_{k-1} + cont * S_{k+1} = q * S_k holds exactly.
+        chain.append([-(v // cont) for v in rem])
+        steps.append((scale, cont, tuple(q)))
 
     g = chain[-1]
     if len(g) > 1:
         reduced = [_int_divmod(p, g) for p in chain]
         if any(rem for _, rem in reduced):
             raise InvariantViolation("a chain member is not divisible by the chain gcd")
-        polys = tuple(RealPoly([Fraction(v) for v in q]) for q, _ in reduced)
+        members = tuple(tuple(q) for q, _ in reduced)
     else:
-        c = Fraction(g[0])
-        polys = tuple(RealPoly([Fraction(v) / c for v in p]) for p in chain)
-    return SturmChain(polys, tuple(links), RealPoly([Fraction(v) for v in g]).monic())
+        members = tuple(map(tuple, chain if g[0] > 0 else ([-v for v in p] for p in chain)))
+    return SturmChain(members, tuple(steps), RealPoly(g).monic())

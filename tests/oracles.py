@@ -2,8 +2,9 @@
 
 Nothing here goes through Sturm chains or winding numbers: the pole
 oracle enumerates known poles directly from a factored denominator, the
-rectangle oracle classifies known roots geometrically, and the naive
-chain uses textbook euclidean division over Fraction.  Tests compare the
+rectangle oracle classifies known roots geometrically, the naive chain
+uses textbook euclidean division over Fraction, and the Horner references
+evaluate and substitute one field operation at a time.  Tests compare the
 library's answers against these.
 """
 
@@ -126,6 +127,28 @@ def naive_euclidean_chain(r: RealPoly, s: RealPoly) -> list[RealPoly]:
     chain.pop()
     g = chain[-1]
     return [p.exact_div(g) for p in chain]
+
+
+# ---------------------------------------------------------------------------
+# plain Horner over Fraction / GaussianRational, one field operation a step
+# ---------------------------------------------------------------------------
+
+
+def horner_eval(p, x):
+    """p(x) for a RealPoly at a Fraction or a ComplexPoly at a GaussianRational."""
+    acc = 0 * x
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def horner_compose(p, m, c):
+    """p(m*X + c) as acc <- acc * (m*X + c) + c_k over polynomials."""
+    line = type(p)([c, m])
+    acc = type(p).zero()
+    for a in reversed(p.coeffs):
+        acc = acc * line + type(p)([a])
+    return acc
 
 
 # ---------------------------------------------------------------------------

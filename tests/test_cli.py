@@ -383,6 +383,53 @@ class TestLimitsAndOptions:
         )
         assert code == 0 and len(out.splitlines()) == 1 + 4 * MAX_SAMPLES
 
+    def test_coordinate_limit_refuses_before_counting(self, capsys, monkeypatch):
+        import exactroots.cli as cli
+
+        calls = []
+
+        def never(name):
+            def fail(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran for a refused coordinate")
+            return fail
+
+        for name in ("count_roots_in_rectangle", "sturm_chain", "sign_var_diff",
+                     "fixed_point_search", "_boundary_samples"):
+            monkeypatch.setattr(cli, name, never(name))
+        limit = cli.MAX_COORD_DIGITS
+        oversized = {
+            f"1e{limit}": limit + 1,
+            "7" * (limit + 1): limit + 1,
+            f"-2/{'3' * limit}": limit + 1,
+            f"1.5E-{limit}": limit + 2,
+            "3e1_000": 1001,
+        }
+        for value, size in oversized.items():
+            for argv in (
+                ["winding", "Z", "--rect", f"-1,{value},-1,1"],
+                ["plot", "Z", "--rect", f"-1,1,{value},1"],
+                ["fixed-point", "X/2", "Y/2", "--rect", f"{value},1,-1,1"],
+                ["real-roots", "X^2-2", "--interval", f"-1,{value}"],
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 3 and out == ""
+                message = f"coordinate size {size} is over the limit {limit}"
+                assert json.loads(err) == {"error": "precondition", "message": message}
+        assert calls == []
+
+    def test_coordinate_limit_is_accepted(self, capsys):
+        from exactroots.cli import MAX_COORD_DIGITS
+
+        at_limit = f"1e{MAX_COORD_DIGITS - 1}"
+        code, out, _ = run_cli(capsys, "winding", "Z^2+1", "--rect", f"-{at_limit},{at_limit},0,2")
+        assert code == 0 and json.loads(out)["index"] == "1"
+        code, out, _ = run_cli(capsys, "real-roots", "X^2-2", "--interval", f"0,{at_limit}")
+        assert code == 0 and json.loads(out)["count"] == "1"
+        with pytest.raises(SystemExit) as exc:
+            main(["winding", "Z", "--rect", "-1,1e,-1,1"])  # malformed: still a usage error
+        assert exc.value.code == 2
+
     def test_jobs_rejected_everywhere(self, capsys):
         argvs = [
             ["real-roots", "X^2-2"],

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -150,6 +152,27 @@ class TestIsolateRoots:
             # one restriction per generation, plus one for the initial count
             # over the Cauchy square, whose edges are the first grid lines
             assert calls and max(calls.values()) <= state.generation + 1
+
+    def test_one_root_chain_per_carrying_line(self, monkeypatch):
+        # a line whose re/im share a gcd counts its segments' roots with the
+        # chain of gcd'/gcd, built once per line however often it is asked
+        isolate_module = importlib.import_module("exactroots.isolate")
+        original = isolate_module.sturm_chain
+        carrying, root_chains = Counter(), Counter()
+
+        def recording(r, s):
+            chain = original(r, s)
+            if s.degree >= 1 and s.leading_coeff() == 1 and r == s.derivative():
+                root_chains[s] += 1
+            elif chain.gcd.degree >= 1:
+                carrying[chain.gcd] += 1
+            return chain
+
+        monkeypatch.setattr(isolate_module, "sturm_chain", recording)
+        f = (Z**2 - 2) * (Z**2 + 3) * (Z - Fraction(1, 3))
+        isolate_roots(f, Fraction(1, 2**24))
+        assert root_chains == carrying
+        assert sum(root_chains.values()) == 56  # 276 when each query built one
 
     def test_random_polynomials_accounted(self):
         rng = Random(501)
@@ -316,3 +339,45 @@ class TestSmale:
 
     def test_exact_root_accepted(self):
         assert smale_check(Z**2 - 1, gauss(1))
+
+
+# SHA-256 of repr(isolate_roots(f, target)), recorded before the integer
+# kernels replaced Fraction Horner; any change that moves a cell fails here.
+_ANCHOR_RNG = Random(70707)
+PINNED_ISOLATIONS = {
+    "seed-70707 anchor": (
+        ComplexPoly(
+            [gauss(_ANCHOR_RNG.randint(-9, 9), _ANCHOR_RNG.randint(-9, 9)) for _ in range(8)]
+            + [gauss(1)]
+        ),
+        Fraction(1, 2**16),
+        "f66f16b738ca96920ee85af029bd96c84249686d679aa0396d68f12e94dfa977",
+    ),
+    "(Z^2-2)(Z^2+3)": (
+        (Z**2 - 2) * (Z**2 + 3),
+        Fraction(1, 2**20),
+        "27380e6f7c459c081a1aa369aef4ef5588698a7662b629c2c749c4828a1d3e14",
+    ),
+    "grid-point deflation": (
+        (Z**3 - 1) * (Z - gauss(Fraction(1, 2), Fraction(-1, 2))) * (Z - gauss(0, 3)),
+        Fraction(1, 2**12),
+        "9e0a15a209cadb9fd2b0d7485d974b72b33255aac6b45b90c07c398f65c6e189",
+    ),
+    "triple root": (
+        (Z - gauss(Fraction(1, 3), Fraction(2, 3))) ** 3 * (Z**2 + Z + 1),
+        Fraction(1, 2**12),
+        "3dfc27ecb47776cc835e8ef68cffae863d8b54b470800881234b151ad5c7ae6b",
+    ),
+    "roots on both axes": (
+        (Z**2 - 2) * (Z**2 + 3) * (Z - Fraction(1, 3)),
+        Fraction(1, 2**24),
+        "49f115282885335ed56824744df53262b4871270d4e0773e7c340b4a10b5d31c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ISOLATIONS))
+def test_pinned_isolation_digest(name):
+    f, target, digest = PINNED_ISOLATIONS[name]
+    state = isolate_roots(f, target)
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == digest

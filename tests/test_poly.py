@@ -16,7 +16,17 @@ from exactroots import (
 from exactroots.exact_arith import InvariantViolation
 from exactroots.poly import NEG_INF, _int_divmod
 
-from oracles import naive_euclidean_chain, rnd_fraction, rnd_real_poly
+from oracles import (
+    horner_compose,
+    horner_eval,
+    naive_euclidean_chain,
+    rnd_complex_poly,
+    rnd_fraction,
+    rnd_gauss,
+    rnd_nonzero_fraction,
+    rnd_real_poly,
+    sign,
+)
 
 X = RealPoly.variable()
 Z = ComplexPoly.variable()
@@ -287,3 +297,84 @@ class TestSturmChain:
                 our_signs = [p.sign_at(x) for p in ours]
                 naive_signs = [p.sign_at(x) for p in naive]
                 assert our_signs == naive_signs
+
+
+class TestIntegerKernels:
+    """Integer Horner kernels against plain Fraction / GaussianRational Horner."""
+
+    def test_eval_matches_reference(self):
+        rng = Random(211)
+        for _ in range(200):
+            p = rnd_complex_poly(rng, 8, num=9, den=12)
+            z = rnd_gauss(rng, 40, 17)
+            assert p.eval(z) == horner_eval(p, z)
+            r = rnd_real_poly(rng, 8, num=9, den=12)
+            x = rnd_fraction(rng, 40, 17)
+            assert r.eval(x) == horner_eval(r, x)
+            assert r.sign_at(x) == sign(horner_eval(r, x))
+
+    def test_compose_affine_matches_reference(self):
+        rng = Random(212)
+        for _ in range(200):
+            p = rnd_complex_poly(rng, 8, num=9, den=12)
+            m, c = rnd_gauss(rng, 9, 13), rnd_gauss(rng, 9, 13)
+            assert p.compose_affine(m, c) == horner_compose(p, m, c)
+            # the grid-line restrictions t -> p(t + i*y) and t -> p(x + i*t)
+            y = rnd_fraction(rng, 99, 64)
+            assert p.compose_affine(1, gauss(0, y)) == horner_compose(p, gauss(1), gauss(0, y))
+            assert p.compose_affine(I, y) == horner_compose(p, I, gauss(y))
+            r = rnd_real_poly(rng, 8, num=9, den=12)
+            a, b = rnd_fraction(rng, 9, 13), rnd_fraction(rng, 9, 13)
+            assert r.compose_affine(a, b) == horner_compose(r, a, b)
+
+    def test_degenerate_polynomials(self):
+        rng = Random(213)
+        for _ in range(20):
+            z, m, c = rnd_gauss(rng), rnd_gauss(rng), rnd_gauss(rng)
+            assert ComplexPoly.zero().eval(z) == gauss(0)
+            assert ComplexPoly.zero().compose_affine(m, c) == ComplexPoly.zero()
+            assert RealPoly.zero().eval(z.re) == 0
+            k = rnd_gauss(rng)
+            assert ComplexPoly.const(k).eval(z) == k
+            assert ComplexPoly.const(k).compose_affine(m, c) == ComplexPoly.const(k)
+            p = rnd_complex_poly(rng, 5)
+            assert p.compose_affine(0, c) == ComplexPoly.const(horner_eval(p, c))
+        assert (Z**2 + 1).compose_affine(I, 0) == 1 - Z**2
+
+    def test_chain_signs_match_member_signs(self):
+        rng = Random(214)
+        checked_roots = 0
+        for _ in range(80):
+            roots = [rnd_fraction(rng, 6, 4) for _ in range(4)]
+            r = RealPoly.const(rnd_nonzero_fraction(rng))
+            for x in roots[: rng.randint(0, 3)]:
+                r = r * (X - RealPoly.const(x))
+            s = rnd_real_poly(rng, 3, num=7, den=5)
+            for x in roots[rng.randint(0, 3) :]:
+                s = s * (X - RealPoly.const(x))
+            chain = sturm_chain(r, s)
+            assert len(chain) == len(chain.polys)
+            # planted roots are roots of S_0 or S_1; linear members give more
+            points = roots + [rnd_fraction(rng, 50, 23) for _ in range(8)]
+            points += [-p.coeff(0) / p.coeff(1) for p in chain.polys if p.degree == 1]
+            for x in points:
+                reference = [sign(horner_eval(p, x)) for p in chain.polys]
+                assert chain.signs_at(x) == [p.sign_at(x) for p in chain.polys] == reference
+                checked_roots += 0 in reference
+            for direction in (1, -1):
+                expected = [
+                    sign(p.leading_coeff()) * direction**p.degree if p else 0
+                    for p in chain.polys
+                ]
+                assert chain.signs_at_infinity(direction) == expected
+        assert checked_roots > 80
+
+    def test_degenerate_chains(self):
+        one, zero_one = sturm_chain(RealPoly.zero(), X), sturm_chain(RealPoly.one(), RealPoly.zero())
+        assert len(one) == 1 and len(zero_one) == 2
+        for x in (Fraction(-7, 3), 0, 5):
+            assert one.signs_at(x) == [p.sign_at(x) for p in one.polys] == [1]
+            assert zero_one.signs_at(x) == [p.sign_at(x) for p in zero_one.polys] == [0, 1]
+        for direction in (1, -1):
+            assert one.signs_at_infinity(direction) == [1]
+            assert zero_one.signs_at_infinity(direction) == [0, 1]
