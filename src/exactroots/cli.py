@@ -30,7 +30,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isinf, lcm
 
 from .brouwer import BiPoly, PlaneMap, fixed_point_search
 from .cauchy_index import sign_var_diff
@@ -455,7 +455,7 @@ def cmd_complex_roots(args) -> dict:
         raise ValueError("need a nonconstant polynomial")
     state = isolate_roots(expr.poly, target)
     approx = state.approximations()
-    ready = bool(approx) and newton_switch_ready(approx)
+    ready = bool(approx) and newton_switch_ready(approx, [c.weight for c in state.cells])
     payload = {
         "polynomial": expr.normalized,
         "precision": _rat_str(target),
@@ -552,28 +552,34 @@ def _boundary_samples(poly: ComplexPoly, rect: Rectangle, samples: int):
     return rows
 
 
+_FLOAT_RANGE = "a sampled value is beyond the float range"
+
+
 def cmd_plot(args) -> str:
     expr = parse_poly(_read_source(args.poly))
     if args.samples < 4:
         raise ValueError("need at least 4 samples per edge (16 total)")
     _option_limit("samples", args.samples, MAX_SAMPLES)
     edges = _boundary_samples(expr.poly, args.rect, args.samples)
+    # floats only here, at the emission boundary
+    try:
+        rows = [tuple(map(float, row)) for edge in edges for row in edge]
+    except OverflowError:
+        raise ValueError(_FLOAT_RANGE) from None
     if args.format == "svg":
-        return _render_svg(edges)
-    lines = ["t,re,im"]
-    for edge in edges:
-        for t, re_val, im_val in edge:
-            lines.append(f"{float(t)!r},{float(re_val)!r},{float(im_val)!r}")
+        return _render_svg(rows)
+    lines = ["t,re,im"] + [f"{t!r},{re_val!r},{im_val!r}" for t, re_val, im_val in rows]
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(edges) -> str:
-    # floats only here, at the emission boundary
-    pts = [(float(re_v), float(im_v)) for edge in edges for _, re_v, im_v in edge]
+def _render_svg(rows) -> str:
+    pts = [(re_v, im_v) for _, re_v, im_v in rows]
     pts.append(pts[0])
     xs = [p[0] for p in pts] + [0.0]
     ys = [p[1] for p in pts] + [0.0]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    if isinf(span):
+        raise ValueError(_FLOAT_RANGE)
     pad = 0.05 * span
     x_lo, y_lo = min(xs) - pad, min(ys) - pad
     scale = 600.0 / (span + 2 * pad)

@@ -7,17 +7,23 @@ every root of a square-free working polynomial:
   boundary (roots on the closed boundary are subtracted off exactly);
 * a 1-cell is an open axis-parallel segment, counted by the real roots of
   the gcd of the real and imaginary parts of the polynomial on its line;
-* both counts come from one restriction per grid line and generation: the
+* both counts come from one restriction per grid line and isolation: the
   Sturm chain of re/im on that line, which ends in their gcd, gives the
   index of any of its segments from endpoint signs, and on a line where
   the gcd is not constant, the chain of gcd'/gcd, built on the first
-  query, gives the root count of any of its segments the same way;
+  query, gives the root count of any of its segments the same way; each
+  line memoizes the sign variation of both chains per point, so an
+  endpoint that several cells share is evaluated once;
+* the line table lives as long as the working polynomial: a deflation
+  clears it, and after each generation it keeps only the lines that bound
+  a surviving cell;
 * restriction, endpoint signs and the zero tests at grid points run on
   integers (see :mod:`exactroots.poly`), so a generation's cost is a few
   integer Horner passes per line and point, not rational arithmetic;
-* grid points produced by bisection are evaluated exactly; when one turns
-  out to be a root, that root is divided out of the working polynomial
-  (deflation) and recorded, which keeps every counting theorem applicable.
+* grid points produced by bisection are evaluated exactly, each once per
+  working polynomial; when one turns out to be a root, that root is
+  divided out of the working polynomial (deflation) and recorded, which
+  keeps every counting theorem applicable.
 
 Each generation bisects every cell at its midpoint, so after j generations
 every cell has diameter at most ``3*r*2**-j`` where r is the initial
@@ -31,14 +37,14 @@ rationals to keep denominators bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 # count_real_roots stays bound here: bench/test_bench.py checks that the
 # tracer reaches this copied binding.
-from .cauchy_index import count_real_roots, sign_var_diff  # noqa: F401
+from .cauchy_index import count_real_roots, sign_changes  # noqa: F401
 from .exact_arith import (
     GaussianRational,
     InvariantViolation,
@@ -169,14 +175,18 @@ class _Line:
     as t -> w(x + i*t): the Sturm chain of re/im, which carries gcd(re, im).
 
     A segment lo < t < hi is a positive affine reparametrization of the
-    line, so it has the same Cauchy indices and the same roots.
+    line, so it has the same Cauchy indices and the same roots.  Twice the
+    sign variation of each chain is memoized per point.
     """
 
     chain: SturmChain
+    _variations: dict = field(default_factory=dict, compare=False, repr=False)
+    _root_variations: dict = field(default_factory=dict, compare=False, repr=False)
 
     def index(self, lo: Fraction, hi: Fraction) -> QuarterInt:
         """Index of w along the line from lo to hi: half the Cauchy index."""
-        return QuarterInt(sign_var_diff(self.chain, lo, hi).twice)
+        memo = self._variations
+        return QuarterInt(_variation(self.chain, memo, lo) - _variation(self.chain, memo, hi))
 
     @cached_property
     def root_chain(self) -> SturmChain:
@@ -188,10 +198,19 @@ class _Line:
         """Distinct roots of w on the open segment; lo < hi are non-roots."""
         if self.chain.gcd.degree <= 0:
             return 0
-        half = sign_var_diff(self.root_chain, lo, hi)
-        if not half.is_integer():
+        memo = self._root_variations
+        twice = _variation(self.root_chain, memo, lo) - _variation(self.root_chain, memo, hi)
+        if twice % 2:
             raise InvariantViolation("segment count hit a boundary root")
-        return half.twice // 2
+        return twice // 2
+
+
+def _variation(chain: SturmChain, memo: dict, x: Fraction) -> int:
+    """Twice the sign variation of the chain at x, looked up in memo first."""
+    twice = memo.get(x)
+    if twice is None:
+        twice = memo[x] = sign_changes(chain.signs_at(x)).twice
+    return twice
 
 
 def _grid_line(w: ComplexPoly, lines: dict, kind: str, anchor: Fraction) -> _Line:
@@ -218,7 +237,7 @@ def _segment_cells(w: ComplexPoly, lines: dict, kind: str, anchor: Fraction, spa
     return cells
 
 
-def _split_cell(w: ComplexPoly, cell: Cell, lines: dict) -> list[Cell]:
+def _split_cell(w: ComplexPoly, cell: Cell, lines: dict, nonzero: set) -> list[Cell]:
     """Bisect one cell, returning the retained children (weight > 0)."""
     if w.degree <= 0:
         return []
@@ -236,8 +255,10 @@ def _split_cell(w: ComplexPoly, cell: Cell, lines: dict) -> list[Cell]:
     children: list[Cell] = []
     for rect in quadrants:
         for v in rect.vertices():
-            if not w.eval(v):
-                raise VertexRootError(v)
+            if v not in nonzero:
+                if not w.eval(v):
+                    raise VertexRootError(v)
+                nonzero.add(v)
         xs, ys = (rect.x0, rect.x1), (rect.y0, rect.y1)
         bottom, top = (_grid_line(w, lines, "h", y) for y in ys)
         left, right = (_grid_line(w, lines, "v", x) for x in xs)
@@ -300,30 +321,42 @@ def isolate_roots(f: ComplexPoly, target_diameter: RatLike) -> IsolationState:
     cells = [Cell(-radius, radius, -radius, radius, QuarterInt.from_int(n0))]
     generation = 0
     target_sq = target * target
+    lines: dict = {}  # grid lines of w, kept across generations
+    nonzero: set[GaussianRational] = set()  # grid points where w is nonzero
 
     while cells and max(c.diameter_sq() for c in cells) > target_sq:
         points: set[GaussianRational] = set()
         for cell in cells:
             points.update(_new_grid_points(cell))
         for z in sorted(points, key=lambda p: (p.re, p.im)):
-            if not w.eval(z):
+            if w.eval(z):
+                nonzero.add(z)
+            else:
                 w, _ = deflate_vertex_root(w, z)
                 found.append(z)
+                lines.clear()
+                nonzero.clear()
 
         while True:
-            lines: dict = {}  # grid lines of this generation and this w
             try:
-                parts = [_split_cell(w, c, lines) for c in cells]
+                parts = [_split_cell(w, c, lines, nonzero) for c in cells]
             except VertexRootError as exc:
                 # All grid points were pre-checked, so this is unexpected;
                 # deflate and recount rather than give a wrong answer.
                 w, _ = deflate_vertex_root(w, exc.vertex)
                 found.append(exc.vertex)
+                lines.clear()
+                nonzero.clear()
                 continue
             break
 
         cells = sorted((c for part in parts for c in part), key=Cell.sort_key)
         generation += 1
+        # keep what the next generation reads: lines that bound a live cell
+        # and the grid points where two of them cross
+        live = {k for c in cells for k in (("h", c.y0), ("h", c.y1), ("v", c.x0), ("v", c.x1))}
+        lines = {k: line for k, line in lines.items() if k in live}
+        nonzero = {z for z in nonzero if ("v", z.re) in live and ("h", z.im) in live}
 
         recovered = sum(c.weight.as_fraction() for c in cells) + len(found)
         if recovered != n0:
@@ -347,15 +380,22 @@ def isolate_roots(f: ComplexPoly, target_diameter: RatLike) -> IsolationState:
 # ---------------------------------------------------------------------------
 
 
-def newton_switch_ready(approx: Sequence[ApproximateRoot]) -> bool:
+def newton_switch_ready(
+    approx: Sequence[ApproximateRoot], weights: Sequence[QuarterInt] | None = None
+) -> bool:
     """Separation test: 3n * delta_k <= |u_k - u_j| for every pair j != k.
 
-    Uses the rational lower bound of the modulus, so a True answer is a
-    rigorous certificate that Newton from each center converges to the one
-    root in its disk, gaining at least one bit per step.
+    ``weights`` are the root counts of the disks (default: one root each),
+    and n is their total.  A disk that holds other than one root fails the
+    test, so n is the number of disks.  Uses the rational lower bound of the
+    modulus, so a True answer is a rigorous certificate that Newton from
+    each center converges to the one root in its disk, gaining at least one
+    bit per step.
     """
     if not approx:
         raise ValueError("need at least one approximation")
+    if weights is not None and any(w != 1 for w in weights):
+        return False
     n = len(approx)
     for k, ak in enumerate(approx):
         for j, aj in enumerate(approx):

@@ -216,6 +216,19 @@ class TestCommands:
             x = Fraction(entry["re"])
             assert abs(x * x - 2) < Fraction(1, 100)
 
+    def test_complex_roots_newton_needs_weight_one_cells(self, capsys):
+        # two roots 10^-6 apart share one cell of weight 2 at 2^-10: one
+        # Newton start cannot refine both, so the switch must not pass
+        code, out, _ = run_cli(
+            capsys, "complex-roots", "(Z - 1/3)*(Z - 1/3 - 1/10^6)",
+            "--precision", "10", "--newton", "3",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert [cell["weight"] for cell in payload["cells"]] == ["2"]
+        assert payload["newton_ready"] is False
+        assert payload["newton_refined"] is None
+
     def test_complex_roots_jobs_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "complex-roots", "Z^3+Z+9", "--precision", "6")
         code2, out2, _ = run_cli(capsys, "complex-roots", "Z^3+Z+9", "--precision", "6")
@@ -496,3 +509,24 @@ class TestPlot:
         )
         assert code == 3
         assert json.loads(err)["error"] == "precondition"
+
+    @pytest.mark.parametrize(
+        "poly, rect, fmt",
+        [
+            # a degree-8 value near 7e323 overflows a float
+            ("Z^8 - 3*Z^5 + 2*Z - 7", "-1,3e40,-1,7e-40", "csv"),
+            ("Z^8 - 3*Z^5 + 2*Z - 7", "-1,3e40,-1,7e-40", "svg"),
+            # every value is a float, but their spread is not
+            ("Z^6 + 10^308", "-1,1,-2.45e51,2.45e51", "svg"),
+        ],
+    )
+    def test_values_beyond_float_range_are_refused(self, capsys, poly, rect, fmt):
+        code, out, err = run_cli(
+            capsys, "plot", poly, "--rect", rect, "--samples", "4", "--format", fmt
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "precondition",
+            "message": "a sampled value is beyond the float range",
+        }

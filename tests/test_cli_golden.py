@@ -41,3 +41,21 @@ def test_first_two_blocks_match_golden_digests():
     assert kinds == {"real-roots", "complex-roots", "fixed-point", "winding", "routh"}
     assert codes == {0, 2, 3}
     assert not mismatches
+
+
+def test_complex_roots_cases_of_first_500_match_golden_digests():
+    # every complex-roots case puts a double root at the origin, the first
+    # grid point of the bisection, so each one deflates
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)["digests"]
+    corpus = CliCorpus(DEFAULT_SEED)
+    specs = [corpus.spec(i) for i in range(len(golden))]
+    cases = [spec for spec in specs if spec["kind"] == "complex-roots"]
+    mismatches = []
+    for spec in cases:
+        code, stdout = corpus.call(exactroots, spec["argv"])
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        if code != 0 or digest != golden[spec["index"]]:
+            mismatches.append((spec["index"], spec["argv"], code))
+    assert len(golden) == 500 and len(cases) == 53
+    assert not mismatches

@@ -155,7 +155,9 @@ class TestIsolateRoots:
 
     def test_one_root_chain_per_carrying_line(self, monkeypatch):
         # a line whose re/im share a gcd counts its segments' roots with the
-        # chain of gcd'/gcd, built once per line however often it is asked
+        # chain of gcd'/gcd, built once per line however often it is asked;
+        # the line table lives through the isolation, so the real and the
+        # imaginary axis each build theirs once
         isolate_module = importlib.import_module("exactroots.isolate")
         original = isolate_module.sturm_chain
         carrying, root_chains = Counter(), Counter()
@@ -172,7 +174,8 @@ class TestIsolateRoots:
         f = (Z**2 - 2) * (Z**2 + 3) * (Z - Fraction(1, 3))
         isolate_roots(f, Fraction(1, 2**24))
         assert root_chains == carrying
-        assert sum(root_chains.values()) == 56  # 276 when each query built one
+        # 56 with a table per generation, 276 when each query built one
+        assert sum(root_chains.values()) == 2
 
     def test_random_polynomials_accounted(self):
         rng = Random(501)
@@ -286,6 +289,14 @@ class TestNewton:
         )
         assert newton_switch_ready([mk(gauss(0), Fraction(1, 10))])
 
+    def test_switch_ready_needs_weight_one(self):
+        mk = ApproximateRoot
+        far = [mk(gauss(0), Fraction(1, 100)), mk(gauss(1), Fraction(1, 100))]
+        one, two = QuarterInt.from_int(1), QuarterInt.from_int(2)
+        assert newton_switch_ready(far, [one, one])
+        assert not newton_switch_ready(far, [one, two])
+        assert not newton_switch_ready(far[:1], [two])
+
     def test_switch_ready_empty_rejected(self):
         with pytest.raises(ValueError):
             newton_switch_ready([])
@@ -342,7 +353,9 @@ class TestSmale:
 
 
 # SHA-256 of repr(isolate_roots(f, target)), recorded before the integer
-# kernels replaced Fraction Horner; any change that moves a cell fails here.
+# kernels replaced Fraction Horner (the generation-3 deflation: before the
+# line table lived through the isolation); any change that moves a cell
+# fails here.
 _ANCHOR_RNG = Random(70707)
 PINNED_ISOLATIONS = {
     "seed-70707 anchor": (
@@ -368,6 +381,13 @@ PINNED_ISOLATIONS = {
         Fraction(1, 2**12),
         "3dfc27ecb47776cc835e8ef68cffae863d8b54b470800881234b151ad5c7ae6b",
     ),
+    # 1/2 +- i/2 are centers of generation-2 cells of the square [-2, 2]^2,
+    # so they are deflated only when generation 3 starts
+    "grid point at generation 3": (
+        (Z**2 - Z + Fraction(1, 2)) * (Z**3 - Z - 1),
+        Fraction(1, 2**12),
+        "779d771738c643cd243b34a78d197d89264308101ed41570382577ba9cbeeaa5",
+    ),
     "roots on both axes": (
         (Z**2 - 2) * (Z**2 + 3) * (Z - Fraction(1, 3)),
         Fraction(1, 2**24),
@@ -381,3 +401,59 @@ def test_pinned_isolation_digest(name):
     f, target, digest = PINNED_ISOLATIONS[name]
     state = isolate_roots(f, target)
     assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+
+
+def test_one_sturm_chain_per_line_per_isolation(monkeypatch):
+    # a grid line keeps its chain from generation to generation
+    isolate_module = importlib.import_module("exactroots.isolate")
+    original = isolate_module.sturm_chain
+    calls = []
+
+    def counting(r, s):
+        calls.append(None)
+        return original(r, s)
+
+    monkeypatch.setattr(isolate_module, "sturm_chain", counting)
+    f, target, _ = PINNED_ISOLATIONS["seed-70707 anchor"]
+    isolate_roots(f, target)
+    assert len(calls) == 281  # 796 with a line table per generation
+
+
+@pytest.mark.parametrize(
+    "f, deflated_ws",
+    [
+        # 1/2 +- i/2 deflated at generation 3
+        ((Z**2 - Z + Fraction(1, 2)) * (Z**3 - Z - 1), 2),
+        # 1 deflated at generation 2, then 1/2 +- i/2 at generation 3
+        ((Z**2 - Z + Fraction(1, 2)) * (Z**3 - 1), 3),
+    ],
+)
+def test_deflation_clears_the_line_table(monkeypatch, f, deflated_ws):
+    # every line read is a restriction of the working polynomial of the
+    # moment, never one of a polynomial that was deflated since
+    isolate_module = importlib.import_module("exactroots.isolate")
+    original_compose = ComplexPoly.compose_affine
+    original_line = isolate_module._grid_line
+    restricted = []  # the polynomial of each restriction, in call order
+    built_from = {}  # id(line) -> (line, the polynomial it restricts)
+    readers = []  # the working polynomials that read lines, in order
+
+    def recording_compose(self, m, c):
+        restricted.append(self)
+        return original_compose(self, m, c)
+
+    def checking_line(w, lines, kind, anchor):
+        before = len(restricted)
+        line = original_line(w, lines, kind, anchor)
+        if len(restricted) > before:  # restricted just now
+            built_from[id(line)] = (line, restricted[-1])  # keeps the id unique
+        assert built_from[id(line)][1] is w
+        if not readers or readers[-1] is not w:
+            readers.append(w)
+        return line
+
+    monkeypatch.setattr(ComplexPoly, "compose_affine", recording_compose)
+    monkeypatch.setattr(isolate_module, "_grid_line", checking_line)
+    state = isolate_roots(f, Fraction(1, 2**12))
+    assert gauss(Fraction(1, 2), Fraction(1, 2)) in dict(state.deflated_roots)
+    assert len(readers) == deflated_ws
