@@ -18,7 +18,9 @@ from exactroots import (
     newton_step,
     newton_switch_ready,
     smale_check,
+    square_free_part,
 )
+from exactroots.winding import cauchy_radius
 
 from oracles import rnd_nonzero_gauss, rnd_gauss, surd_in_open
 
@@ -259,6 +261,7 @@ class TestNewton:
         assert newton_step(Z**2 - 1, gauss(2)) == gauss(Fraction(5, 4))
         assert newton_step(Z**2 - 1, gauss(Fraction(5, 4))) == gauss(Fraction(41, 40))
         assert newton_step(Z**2 - 1, gauss(1)) == gauss(1)
+        assert newton_step(Z**2 - 1, gauss(2), derivative=2 * Z) == gauss(Fraction(5, 4))
 
     def test_step_rejects_critical_point(self):
         with pytest.raises(ZeroDivisionError):
@@ -354,17 +357,56 @@ class TestSmale:
 
 # SHA-256 of repr(isolate_roots(f, target)), recorded before the integer
 # kernels replaced Fraction Horner (the generation-3 deflation: before the
-# line table lived through the isolation); any change that moves a cell
-# fails here.
+# line table lived through the isolation; the 2^-32 and 2^-64 anchors,
+# degree 16, the mixed cells and the late grid point: before the Newton
+# endgame); any change that moves a cell fails here.
 _ANCHOR_RNG = Random(70707)
+_ANCHOR = ComplexPoly(
+    [gauss(_ANCHOR_RNG.randint(-9, 9), _ANCHOR_RNG.randint(-9, 9)) for _ in range(8)] + [gauss(1)]
+)
+_DEGREE_16_RNG = Random(16)
+_DEGREE_16 = ComplexPoly(
+    [gauss(_DEGREE_16_RNG.randint(-1, 1), _DEGREE_16_RNG.randint(-1, 1)) for _ in range(16)]
+    + [gauss(1)]
+)
+# monic with Cauchy radius 1 + 15 = 16 as long as |a| < 1, so a = 5/16 + 3i/16
+# is the center of a generation-8 cell of [-16, 16]^2: its cell has weight 1
+# from generation 1 on, the endgame's attempt on it meets a at a vertex of
+# the final cell, and bisection deflates a when generation 9 starts
+_LATE_ROOT = gauss(Fraction(5, 16), Fraction(3, 16))
+_LATE_GRID_POINT = (Z - _LATE_ROOT) * (Z**4 + 15 * Z**2 + 1)
 PINNED_ISOLATIONS = {
     "seed-70707 anchor": (
-        ComplexPoly(
-            [gauss(_ANCHOR_RNG.randint(-9, 9), _ANCHOR_RNG.randint(-9, 9)) for _ in range(8)]
-            + [gauss(1)]
-        ),
+        _ANCHOR,
         Fraction(1, 2**16),
         "f66f16b738ca96920ee85af029bd96c84249686d679aa0396d68f12e94dfa977",
+    ),
+    "seed-70707 anchor at 2^-32": (
+        _ANCHOR,
+        Fraction(1, 2**32),
+        "950a7b302a08bdddbb56b734c9ac747467f2fb3e243c345744731c5b9d654f36",
+    ),
+    "seed-70707 anchor at 2^-64": (
+        _ANCHOR,
+        Fraction(1, 2**64),
+        "61dcb3d0df889662ccfcddc72cb7a6609c50ccb8e8b437048716bb2d850a2223",
+    ),
+    # 13 2-cells, one 1-cell and the double root 0
+    "seeded degree 16": (
+        _DEGREE_16,
+        Fraction(1, 2**24),
+        "05bdcdb76c10caa28b202030e287560cb496178dc8fd123d6393a091fc3ab0b6",
+    ),
+    # four 1-cells on the axes and two 2-cells
+    "1-cells and 2-cells": (
+        (Z**2 - 2) * (Z**2 + 3) * (Z**2 + Z + 1),
+        Fraction(1, 2**32),
+        "5e2e0bff55fb24ddb658b511d4d785c6f11dc67364d6fd426de08d61e4ba6fba",
+    ),
+    "grid point after weight 1": (
+        _LATE_GRID_POINT,
+        Fraction(1, 2**32),
+        "cecfef2e663493f981b73724580e4f15080283a160e1d5f0ce13b9f361dbdc3a",
     ),
     "(Z^2-2)(Z^2+3)": (
         (Z**2 - 2) * (Z**2 + 3),
@@ -403,6 +445,14 @@ def test_pinned_isolation_digest(name):
     assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
 
 
+def test_late_grid_point_is_a_generation_8_center():
+    radius = cauchy_radius(_LATE_GRID_POINT)
+    assert radius == 16
+    for coordinate in (_LATE_ROOT.re, _LATE_ROOT.im):
+        steps = (coordinate + radius) / (2 * radius / 2**9)  # generation-9 spacing
+        assert steps.denominator == 1 and steps % 2 == 1
+
+
 def test_one_sturm_chain_per_line_per_isolation(monkeypatch):
     # a grid line keeps its chain from generation to generation
     isolate_module = importlib.import_module("exactroots.isolate")
@@ -416,7 +466,73 @@ def test_one_sturm_chain_per_line_per_isolation(monkeypatch):
     monkeypatch.setattr(isolate_module, "sturm_chain", counting)
     f, target, _ = PINNED_ISOLATIONS["seed-70707 anchor"]
     isolate_roots(f, target)
-    assert len(calls) == 281  # 796 with a line table per generation
+    # 796 with a line table per generation, 281 when every cell was
+    # bisected down to the last generation
+    assert len(calls) == 94
+
+
+def test_weight_one_cells_bisected_on_the_anchor(monkeypatch):
+    # the endgame certifies each root's final cell instead of bisecting its
+    # weight-1 cell generation after generation
+    isolate_module = importlib.import_module("exactroots.isolate")
+    original = isolate_module._split_cell
+    weights = Counter()
+
+    def counting(w, cell, lines, nonzero):
+        weights[cell.weight == 1] += 1
+        return original(w, cell, lines, nonzero)
+
+    monkeypatch.setattr(isolate_module, "_split_cell", counting)
+    f, target, _ = PINNED_ISOLATIONS["seed-70707 anchor at 2^-32"]
+    isolate_roots(f, target)
+    assert weights == {True: 28, False: 13}  # 267 and 13 without the endgame
+
+
+def _final_side(f: ComplexPoly, target: Fraction) -> tuple[Fraction, Fraction]:
+    """Cauchy radius of the square-free part, and the side of the last
+    generation's 2-cells."""
+    radius = cauchy_radius(square_free_part(f))
+    side = 2 * radius
+    while 2 * side * side > target * target:
+        side /= 2
+    return radius, side
+
+
+@pytest.mark.parametrize("miss", ["neighbouring cell", "outside the cell"])
+@pytest.mark.parametrize("name", sorted(PINNED_ISOLATIONS))
+def test_rejected_endgame_falls_back_to_bisection(monkeypatch, name, miss):
+    # a wrong prediction fails its certificate (or leaves the cell before any
+    # line is built), and the lineage bisects to the end with no second try
+    isolate_module = importlib.import_module("exactroots.isolate")
+    f, target, digest = PINNED_ISOLATIONS[name]
+    radius, side = _final_side(f, target)
+    step, attempt = isolate_module.newton_step, isolate_module._final_cell
+    attempts, steps = [], []
+
+    def mispredicting(*args):
+        steps.append(None)
+        if miss == "outside the cell":
+            return gauss(2 * radius)
+        return step(*args) + gauss(side)  # converges one final cell to the right
+
+    def recording(w, dw, cell, *rest):
+        attempts.append(cell)
+        result = attempt(w, dw, cell, *rest)
+        assert result is None
+        return result
+
+    monkeypatch.setattr(isolate_module, "newton_step", mispredicting)
+    monkeypatch.setattr(isolate_module, "_final_cell", recording)
+    state = isolate_roots(f, target)
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+    for a in attempts:
+        assert not any(
+            b is not a and a.contains_point(b.center()) for b in attempts
+        ), "a lineage made a second attempt"
+    if miss == "outside the cell":
+        assert len(steps) == len(attempts)
+    if name.startswith("seed-70707 anchor"):
+        assert len(attempts) == 8
 
 
 @pytest.mark.parametrize(
