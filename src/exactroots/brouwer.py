@@ -9,17 +9,19 @@ The boundary index of g is computed edge by edge: restricting both
 components to an edge gives a pair of univariate real polynomials (u, v),
 and the edge contributes half the Cauchy index of u/v.  A common rational
 zero of u and v found along the way *is* a fixed point and ends the search
-with an exact answer.
+with an exact answer.  Such zeros are read off the 1-D real root isolator
+applied to gcd(u, v), so one with any denominator is found; the price is a
+bisection depth of about twice the bit length of the gcd's leading
+coefficient for every real root of the gcd inside the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .cauchy_index import sign_var_diff
+from .cauchy_index import isolate_real_roots, sign_var_diff
 from .exact_arith import GaussianRational, RatLike, gauss, power
 from .poly import RealPoly, sturm_chain
 from .winding import QuarterInt, Rectangle
@@ -192,46 +194,26 @@ class FixedPointResult:
 # rational zero scan along edges
 # ---------------------------------------------------------------------------
 
-_FACTOR_CAP = 10**12
+def _rational_root(g: RealPoly) -> Fraction | None:
+    """The least rational root of g in the open interval (0, 1), or None.
 
-
-def _divisors(n: int) -> Iterator[int]:
-    n = abs(n)
-    k = 1
-    while k <= isqrt(n):
-        if n % k == 0:
-            yield k
-            if k != n // k:
-                yield n // k
-        k += 1
-
-
-def _rational_roots(p: RealPoly) -> list[Fraction]:
-    """All rational roots of p, by the rational root theorem.
-
-    Gives up (returns only the detected subset) when the boundary
-    coefficients are too large to factor quickly; detection here is a
-    shortcut for exact answers, never needed for correctness.
+    With g made primitive over Z, with leading coefficient l, a rational
+    root has a denominator dividing l, so two of them lie at least 1/l^2
+    apart.  Once g's real roots in [0, 1] are isolated to width 1/(2 l^2),
+    a rational root is either an exact bisection midpoint or the fraction
+    with denominator at most l nearest its interval's midpoint.
     """
-    if p.is_zero():
-        return []
-    ints = [c for c in p.primitive_part().coeffs]
-    roots = []
-    low = 0
-    while low < len(ints) and not ints[low]:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-    a0 = int(ints[low])
-    an = int(ints[-1])
-    if abs(a0) > _FACTOR_CAP or abs(an) > _FACTOR_CAP:
-        return roots
-    for q in _divisors(an):
-        for r in _divisors(a0):
-            for cand in (Fraction(r, q), Fraction(-r, q)):
-                if cand not in roots and p.eval(cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    g = g.primitive_part()
+    if g.degree == 1:
+        root = -g.coeffs[0] / g.coeffs[1]
+        return root if 0 < root < 1 else None
+    lead = abs(int(g.coeffs[-1]))
+    points, intervals = isolate_real_roots(
+        sturm_chain(g.derivative(), g), Fraction(0), Fraction(1), Fraction(1, 2 * lead * lead)
+    )
+    candidates = [x for x, weight in points if weight == 1]
+    candidates += [((lo + hi) / 2).limit_denominator(lead) for lo, hi in intervals]
+    return min((t for t in candidates if 0 < t < 1 and g.eval(t) == 0), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +242,9 @@ def _boundary_scan(
             return QuarterInt(0), a  # the whole edge is fixed
         chain = sturm_chain(u, v)
         if chain.gcd.degree >= 1:
-            for t in _rational_roots(chain.gcd):
-                if 0 < t < 1:
-                    return QuarterInt(0), a + (b - a) * gauss(t)
+            t = _rational_root(chain.gcd)
+            if t is not None:
+                return QuarterInt(0), a + (b - a) * gauss(t)
         total = total + QuarterInt(sign_var_diff(chain, 0, 1).twice)
     return total, None
 

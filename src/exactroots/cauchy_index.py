@@ -126,6 +126,49 @@ def sign_var_diff_infinite(chain: SturmChain) -> HalfInt:
     return va - vb
 
 
+def isolate_real_roots(
+    chain: SturmChain, a: Fraction, b: Fraction, target: Fraction
+) -> tuple[list[tuple[Fraction, Fraction]], list[tuple[Fraction, Fraction]]]:
+    """Bisect [a, b] into exact roots of p and isolating intervals.
+
+    ``chain`` is ``sturm_chain(p', p)``.  Its first member is p / gcd(p, p')
+    up to a constant factor, so it vanishes exactly at the distinct roots
+    of p, and one ``signs_at`` per point, memoized, gives both the point's
+    sign variation and whether p vanishes there.  Returns the sorted exact
+    roots met, (x, weight) with weight 1/2 at an endpoint and 1 at a
+    bisection midpoint, and the sorted intervals (lo, hi), no wider than
+    ``target``, each holding exactly one root in its interior.
+    """
+    memo: dict[Fraction, tuple[int, bool]] = {}
+
+    def at(x: Fraction) -> tuple[int, bool]:
+        # (twice the sign variation, whether p(x) == 0)
+        if x not in memo:
+            signs = chain.signs_at(x)
+            memo[x] = sign_changes(signs).twice, signs[0] == 0
+        return memo[x]
+
+    points = [(x, Fraction(1, 2)) for x in (a, b) if at(x)[1]]
+    work = [(a, b)]
+    intervals = []
+    while work:
+        lo, hi = work.pop()
+        (v_lo, zero_lo), (v_hi, zero_hi) = at(lo), at(hi)
+        # twice the number of roots in the open interval
+        inside = v_lo - v_hi - zero_lo - zero_hi
+        if inside == 0:
+            continue
+        if inside == 2 and hi - lo <= target:
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if at(mid)[1]:
+            points.append((mid, Fraction(1)))
+        work.append((lo, mid))
+        work.append((mid, hi))
+    return sorted(points), sorted(intervals)
+
+
 # ---------------------------------------------------------------------------
 # the Cauchy index
 # ---------------------------------------------------------------------------

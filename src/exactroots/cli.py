@@ -33,10 +33,10 @@ from fractions import Fraction
 from math import isinf, lcm
 
 from .brouwer import BiPoly, PlaneMap, fixed_point_search
-from .cauchy_index import sign_var_diff
+from .cauchy_index import isolate_real_roots, sign_var_diff
 from .exact_arith import GaussianRational, InvariantViolation, gauss
 from .isolate import Cell, isolate_roots, newton_step, newton_switch_ready
-from .poly import ComplexPoly, RealPoly, SturmChain, sturm_chain
+from .poly import ComplexPoly, RealPoly, sturm_chain
 from .poly import format_poly as format_complex_poly
 from .stability import half_plane_count
 from .winding import Rectangle, VertexRootError, cauchy_radius, count_roots_in_rectangle
@@ -387,38 +387,6 @@ def _read_source(arg: str | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _isolate_real(p: RealPoly, chain: SturmChain, a: Fraction, b: Fraction, target: Fraction):
-    """1-D bisection: exact points (with weight) and isolating intervals.
-
-    ``chain`` is the Sturm chain of p'/p, which counts the roots of p on
-    every subinterval.
-    """
-    points = []
-    for endpoint in (a, b):
-        if p.eval(endpoint) == 0:
-            points.append((endpoint, Fraction(1, 2)))
-    work = [(a, b)]
-    intervals = []
-    while work:
-        lo, hi = work.pop()
-        inside = sign_var_diff(chain, lo, hi).as_fraction()
-        if p.eval(lo) == 0:
-            inside -= Fraction(1, 2)
-        if p.eval(hi) == 0:
-            inside -= Fraction(1, 2)
-        if inside == 0:
-            continue
-        if inside == 1 and hi - lo <= target:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if p.eval(mid) == 0:
-            points.append((mid, Fraction(1)))
-        work.append((lo, mid))
-        work.append((mid, hi))
-    return sorted(points), sorted(intervals)
-
-
 def cmd_real_roots(args) -> dict:
     poly, variable = parse_real_poly(_read_source(args.poly))
     if poly.is_zero():
@@ -430,7 +398,7 @@ def cmd_real_roots(args) -> dict:
         bound = cauchy_radius(poly.to_complex())
         a, b = -bound, bound
     chain = sturm_chain(poly.derivative(), poly)
-    points, intervals = _isolate_real(poly, chain, a, b, target)
+    points, intervals = isolate_real_roots(chain, a, b, target)
     total = sign_var_diff(chain, a, b)
     return {
         "polynomial": format_complex_poly(poly, variable),

@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from exactroots import BiPoly, PlaneMap, Rectangle, fixed_point_search, gauss
-from exactroots.brouwer import SelfMapViolation, _boundary_scan, _displacement
+from exactroots import BiPoly, PlaneMap, RealPoly, Rectangle, fixed_point_search, gauss
+from exactroots.brouwer import SelfMapViolation, _boundary_scan, _displacement, _rational_root
 
 from oracles import rnd_fraction
 
@@ -32,6 +32,27 @@ class TestBiPoly:
     def test_zero_and_const(self):
         assert BiPoly.zero().is_zero()
         assert BiPoly.const(Fraction(3, 4)).eval(9, 9) == Fraction(3, 4)
+
+
+def linear(root) -> RealPoly:
+    return RealPoly([-Fraction(root), 1])
+
+
+class TestRationalRoot:
+    def test_denominator_beyond_trial_division(self):
+        small, large = Fraction(3, 7), Fraction(5, 10**13 + 37)
+        assert _rational_root(linear(small) * linear(large)) == large
+        assert _rational_root(linear(large)) == large
+
+    def test_least_root_in_the_open_unit_interval(self):
+        assert _rational_root(linear(Fraction(3, 4)) * linear(Fraction(1, 2))) == Fraction(1, 2)
+        assert _rational_root(linear(Fraction(3, 7)) * RealPoly([-2, 0, 1])) == Fraction(3, 7)
+        assert _rational_root(linear(0) * linear(1) * linear(Fraction(9, 7))) is None
+        assert _rational_root(linear(Fraction(-1, 3)) * linear(1)) is None
+
+    def test_irrational_roots_give_none(self):
+        assert _rational_root(RealPoly([-1, 0, 2])) is None
+        assert _rational_root(RealPoly([-1, 0, 2 * 7**40]) * RealPoly([-1, 0, 3])) is None
 
 
 class TestFixedPointSearch:

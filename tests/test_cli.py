@@ -242,6 +242,42 @@ class TestCommands:
         assert payload["result"]["kind"] == "point"
         assert payload["result"]["point"] == {"re": "0", "im": "0"}
 
+    @pytest.mark.parametrize("p, q, point", [
+        ("5/10000000000037 + (1/3)*(X - 5/10000000000037)", "(1/3)*Y",
+         {"re": "5/10000000000037", "im": "0"}),
+        ("(1/3)*X", "5/10000000000037 + (1/3)*(Y - 5/10000000000037)",
+         {"re": "0", "im": "5/10000000000037"}),
+    ], ids=["x-edge", "y-edge"])
+    def test_fixed_point_on_an_edge_with_a_large_denominator(self, capsys, p, q, point):
+        code, out, _ = run_cli(capsys, "fixed-point", p, q, "--rect", "0,1,0,1")
+        assert code == 0
+        assert json.loads(out)["result"] == {"kind": "point", "point": point}
+
+    def test_fixed_point_with_composite_edge_coefficients_is_bounded(self, capsys, monkeypatch):
+        # The edge gcds have 40-bit, highly composite coefficients.  Searching
+        # their rational roots by trial division would evaluate a gcd about
+        # 90 million times per horizontal edge; the stand-in refuses that early.
+        from exactroots import PlaneMap, RealPoly, Rectangle, fixed_point_search
+        from exactroots.brouwer import SelfMapViolation
+
+        calls = []
+        original = RealPoly.eval
+
+        def bounded_eval(self, x):
+            calls.append(x)
+            assert len(calls) <= 10_000, "unbounded rational root search"
+            return original(self, x)
+
+        monkeypatch.setattr(RealPoly, "eval", bounded_eval)
+        n = 963761198400
+        h = f"({n}*((X+1)/2)^2 + (X+1)/2 + {n})"
+        code, out, err = run_cli(capsys, "fixed-point", f"X - {h}", f"Y - {h}")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "precondition"
+        f = PlaneMap(parse_map_component(f"X - {h}"), parse_map_component(f"Y - {h}"))
+        with pytest.raises(SelfMapViolation):
+            fixed_point_search(f, Rectangle(-1, 1, -1, 1), Fraction(1, 1024))
+
     def test_internal_invariant_exit_code(self, capsys, monkeypatch):
         import exactroots.cli as cli_mod
         from exactroots.exact_arith import InvariantViolation

@@ -59,3 +59,22 @@ def test_complex_roots_cases_of_first_500_match_golden_digests():
             mismatches.append((spec["index"], spec["argv"], code))
     assert len(golden) == 500 and len(cases) == 53
     assert not mismatches
+
+
+def test_fixed_point_and_real_roots_cases_of_first_500_match_golden_digests():
+    # both read real roots off the shared 1-D isolator: real-roots for its
+    # points and intervals, fixed-point for exact rational edge zeros
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)["digests"]
+    corpus = CliCorpus(DEFAULT_SEED)
+    specs = [corpus.spec(i) for i in range(len(golden))]
+    cases = [spec for spec in specs if spec["kind"] in ("fixed-point", "real-roots")]
+    mismatches = []
+    for spec in cases:
+        code, stdout = corpus.call(exactroots, spec["argv"])
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        if code != spec["expect"].get("exit", 0) or digest != golden[spec["index"]]:
+            mismatches.append((spec["index"], spec["argv"], code))
+    counts = {kind: sum(spec["kind"] == kind for spec in cases) for kind in ("fixed-point", "real-roots")}
+    assert len(golden) == 500 and counts == {"fixed-point": 106, "real-roots": 53}
+    assert not mismatches

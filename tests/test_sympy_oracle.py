@@ -1,9 +1,11 @@
-"""Root counts against sympy's ``Poly.count_roots``.
+"""Root counts, isolated real roots and rational roots against sympy.
 
 sympy shares no code with exactroots, so these checks hold the integer
 Sturm kernel to an outside answer, not only to self-consistency.
 ``count_roots`` counts distinct real roots on the closed interval, and
-complex roots with multiplicity in the closed rectangle.
+complex roots with multiplicity in the closed rectangle; ``real_roots``
+gives each real root exactly, and ``factor_list`` the rational ones as
+linear factors.
 """
 
 from fractions import Fraction
@@ -11,7 +13,9 @@ from random import Random
 
 import pytest
 
-from exactroots import Rectangle, RealPoly, count_real_roots, count_roots_in_rectangle
+from exactroots import Rectangle, RealPoly, count_real_roots, count_roots_in_rectangle, sturm_chain
+from exactroots.brouwer import _rational_root
+from exactroots.cauchy_index import isolate_real_roots
 
 from oracles import rnd_fraction
 
@@ -82,3 +86,70 @@ def test_rectangle_counts_off_the_boundary():
         compared += 1
         holding += expected > 0
     assert compared >= 25 and holding >= 10
+
+
+def test_isolated_real_roots():
+    rng = Random(603)
+    with_endpoint_roots = repeated = 0
+    for _ in range(40):
+        planted = [rnd_fraction(rng, 6, 3) for _ in range(rng.randint(0, 3))]
+        p = rnd_int_poly(rng, rng.randint(1, 4), 20)
+        for root in planted:
+            m = rng.randint(1, 3)
+            repeated += m > 1
+            p = p * RealPoly([-root, 1]) ** m
+        a, b = sorted(rng.sample(planted + [rnd_fraction(rng, 40, 7) for _ in range(3)], 2))
+        if a == b:
+            continue
+        target = Fraction(1, 2 ** rng.randint(0, 24))
+        points, intervals = isolate_real_roots(sturm_chain(p.derivative(), p), a, b, target)
+        assert all(0 < hi - lo <= target for lo, hi in intervals)
+        roots = set(to_sympy(p).real_roots())
+        inside = [r for r in roots if rational(a) <= r <= rational(b)]
+        for r in inside:
+            at = [w for x, w in points if rational(x) == r]
+            around = [(lo, hi) for lo, hi in intervals if rational(lo) < r < rational(hi)]
+            assert len(at) + len(around) == 1
+            if r in (rational(a), rational(b)):
+                with_endpoint_roots += 1
+                assert at == [Fraction(1, 2)]
+            elif at:
+                assert at == [1]
+        assert len(points) + len(intervals) == len(inside)
+    assert with_endpoint_roots > 10 and repeated > 10
+
+
+def _planted_root(rng: Random) -> Fraction:
+    den = rng.choice((rng.randint(1, 30), rng.randint(1, 10**15)))
+    return Fraction(rng.randint(-den // 2, 3 * den // 2), den)
+
+
+def _irrational_quadratic(rng: Random) -> RealPoly:
+    while True:  # m X^2 - k with roots +-sqrt(k/m), sqrt(k/m) in (0, 1)
+        m = rng.randint(2, 10**6)
+        k = rng.randint(1, m - 1)
+        if not sympy.sqrt(sympy.Rational(k, m)).is_rational:
+            return RealPoly([-k, 0, m])
+
+
+def test_rational_edge_roots():
+    rng = Random(604)
+    beyond_10_12 = found = 0
+    for _ in range(60):
+        g = rnd_int_poly(rng, rng.randint(0, 2), 20)
+        for _ in range(rng.randint(0, 3)):
+            g = g * RealPoly([-_planted_root(rng), 1])
+        for _ in range(rng.randint(0, 2)):
+            g = g * _irrational_quadratic(rng)
+        if g.degree < 1:
+            continue
+        linear = [f for f, _ in to_sympy(g).factor_list()[1] if f.degree() == 1]
+        rational_roots = [-f.nth(0) / f.nth(1) for f in linear]
+        least = min((r for r in rational_roots if 0 < r < 1), default=None)
+        got = _rational_root(g)
+        assert (got is None) == (least is None)
+        if got is not None:
+            assert rational(got) == least
+            found += 1
+            beyond_10_12 += got.denominator > 10**12
+    assert found > 20 and beyond_10_12 > 5
