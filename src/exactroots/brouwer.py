@@ -12,7 +12,8 @@ zero of u and v found along the way *is* a fixed point and ends the search
 with an exact answer.  Such zeros are read off the 1-D real root isolator
 applied to gcd(u, v), so one with any denominator is found; the price is a
 bisection depth of about twice the bit length of the gcd's leading
-coefficient for every real root of the gcd inside the edge.
+coefficient for every real root of the gcd inside the edge, so a search
+whose estimated work is over ``MAX_EDGE_SEARCH_WORK`` is refused instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .cauchy_index import isolate_real_roots, sign_var_diff
+from .cauchy_index import isolate_real_roots, open_root_count
 from .exact_arith import GaussianRational, RatLike, gauss, power
 from .poly import RealPoly, sturm_chain
 from .winding import QuarterInt, Rectangle
@@ -194,6 +195,14 @@ class FixedPointResult:
 # rational zero scan along edges
 # ---------------------------------------------------------------------------
 
+# Bound on the work estimate r * (d * b)^2 of one exact edge-zero search,
+# with d = deg g, b the bit length of l and r the real roots of g in (0, 1).
+# The README's hostile cases, 2 * 10^8 to 6 * 10^9 units, ran at 16-79 M
+# units per second (Python 3.11, 2 vCPUs); maps just under the bound take
+# 1-2 s there, and no edge gcd of the CLI corpus goes above 300 units.
+MAX_EDGE_SEARCH_WORK = 5 * 10**7
+
+
 def _rational_root(g: RealPoly) -> Fraction | None:
     """The least rational root of g in the open interval (0, 1), or None.
 
@@ -201,15 +210,20 @@ def _rational_root(g: RealPoly) -> Fraction | None:
     root has a denominator dividing l, so two of them lie at least 1/l^2
     apart.  Once g's real roots in [0, 1] are isolated to width 1/(2 l^2),
     a rational root is either an exact bisection midpoint or the fraction
-    with denominator at most l nearest its interval's midpoint.
+    with denominator at most l nearest its interval's midpoint.  A search
+    whose work estimate exceeds ``MAX_EDGE_SEARCH_WORK`` raises ValueError.
     """
     g = g.primitive_part()
     if g.degree == 1:
         root = -g.coeffs[0] / g.coeffs[1]
         return root if 0 < root < 1 else None
     lead = abs(int(g.coeffs[-1]))
+    chain = sturm_chain(g.derivative(), g)
+    work = open_root_count(chain, 0, 1) * (g.degree * lead.bit_length()) ** 2
+    if work > MAX_EDGE_SEARCH_WORK:
+        raise ValueError(f"edge-zero search work {work} is over the limit {MAX_EDGE_SEARCH_WORK}")
     points, intervals = isolate_real_roots(
-        sturm_chain(g.derivative(), g), Fraction(0), Fraction(1), Fraction(1, 2 * lead * lead)
+        chain, Fraction(0), Fraction(1), Fraction(1, 2 * lead * lead)
     )
     candidates = [x for x, weight in points if weight == 1]
     candidates += [((lo + hi) / 2).limit_denominator(lead) for lo, hi in intervals]
@@ -245,7 +259,7 @@ def _boundary_scan(
             t = _rational_root(chain.gcd)
             if t is not None:
                 return QuarterInt(0), a + (b - a) * gauss(t)
-        total = total + QuarterInt(sign_var_diff(chain, 0, 1).twice)
+        total = total + QuarterInt(chain.variation(0) - chain.variation(1))
     return total, None
 
 

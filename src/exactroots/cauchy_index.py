@@ -11,73 +11,93 @@ Sign variations count a zero next to a nonzero entry as half a change,
     V(s_{k-1}, s_k) = |sign(s_{k-1}) - sign(s_k)| / 2,
 
 which is exactly the convention that makes boundary points work.  Values
-therefore live in (1/2) * Z, represented exactly by :class:`HalfInt`.
+therefore live in (1/2) * Z, represented exactly by :class:`HalfInt`, which
+shares :class:`IndexNumber` arithmetic with winding numbers.  Variations at
+points are read through the per-point memo ``SturmChain.variation``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_arith import RatLike, sign
-from .poly import RealPoly, SturmChain, sturm_chain
+from .poly import RealPoly, SturmChain, sturm_chain, twice_variation
 
 
-@dataclass(frozen=True)
-class HalfInt:
-    """An exact element of (1/2) * Z, stored as twice its value."""
+class IndexNumber:
+    """An exact element of (1/UNIT) * Z, held as an integer count of 1/UNIT.
 
-    twice: int
+    Subclasses are frozen dataclasses with one int field and expose it as
+    ``count``.  A sum or difference of two of them is taken in the finer
+    unit, an int operand is scaled to the unit, and comparisons with each
+    other, ints and ``Fraction``s cross-multiply integers.  The hash is that
+    of the value as a ``Fraction``, so equal values hash alike.
+    """
+
+    UNIT: int
+    count: int
 
     @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
+    def from_int(cls, n: int):
+        return cls(cls.UNIT * n)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
+        return Fraction(self.count, self.UNIT)
 
     def is_integer(self) -> bool:
-        return self.twice % 2 == 0
+        return self.count % self.UNIT == 0
 
-    def __add__(self, other: "HalfInt | int") -> "HalfInt":
-        other = _as_half(other)
-        return HalfInt(self.twice + other.twice)
+    def as_int(self) -> int:
+        if not self.is_integer():
+            raise ValueError(f"{self} is not an integer")
+        return self.count // self.UNIT
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return type(self)(self.count + other * self.UNIT)
+        if not isinstance(other, IndexNumber):
+            return NotImplemented
+        fine = type(self) if self.UNIT >= other.UNIT else type(other)
+        return fine(self.count * (fine.UNIT // self.UNIT) + other.count * (fine.UNIT // other.UNIT))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
+    def __neg__(self):
+        return type(self)(-self.count)
 
-    def __sub__(self, other: "HalfInt | int") -> "HalfInt":
-        return self + (-_as_half(other))
+    def __sub__(self, other):
+        return self + -other
 
-    def __rsub__(self, other: "HalfInt | int") -> "HalfInt":
-        return _as_half(other) + (-self)
+    def __rsub__(self, other):
+        return -self + other
 
-    def __mul__(self, n: int) -> "HalfInt":
-        return HalfInt(self.twice * n)
+    def __mul__(self, n: int):
+        return type(self)(self.count * n)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
+    def _cross(op):
+        def compare(self, other):
+            # self.count / UNIT  op  numerator / denominator, denominators > 0
+            if isinstance(other, IndexNumber):
+                num, den = other.count, other.UNIT
+            elif isinstance(other, (int, Fraction)):
+                num, den = other.numerator, other.denominator
+            else:
+                return NotImplemented
+            return op(self.count * den, num * self.UNIT)
 
-    def __lt__(self, other):
-        return self.as_fraction() < _as_value(other)
+        return compare
 
-    def __le__(self, other):
-        return self.as_fraction() <= _as_value(other)
-
-    def __gt__(self, other):
-        return self.as_fraction() > _as_value(other)
-
-    def __ge__(self, other):
-        return self.as_fraction() >= _as_value(other)
+    __eq__ = _cross(operator.eq)
+    __lt__ = _cross(operator.lt)
+    __le__ = _cross(operator.le)
+    __gt__ = _cross(operator.gt)
+    __ge__ = _cross(operator.ge)
+    del _cross
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -86,12 +106,13 @@ class HalfInt:
         return str(self.as_fraction())
 
 
-def _as_half(v: "HalfInt | int") -> HalfInt:
-    return v if isinstance(v, HalfInt) else HalfInt(2 * v)
+@dataclass(frozen=True, eq=False)
+class HalfInt(IndexNumber):
+    """An exact element of (1/2) * Z, stored as twice its value."""
 
-
-def _as_value(v):
-    return v.as_fraction() if isinstance(v, HalfInt) else v
+    UNIT = 2
+    twice: int
+    count = property(operator.attrgetter("twice"))
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +125,26 @@ def sign_changes(values: Iterable[RatLike]) -> HalfInt:
 
     Empty and one-element sequences have no changes.
     """
-    twice = 0
-    prev: int | None = None
-    for v in values:
-        s = sign(v)
-        if prev is not None:
-            twice += abs(prev - s)
-        prev = s
-    return HalfInt(twice)
+    return HalfInt(twice_variation([sign(v) for v in values]))
 
 
 def sign_var_diff(chain: SturmChain, a: RatLike, b: RatLike) -> HalfInt:
     """V_a - V_b: sign variations of the chain at a minus those at b."""
-    return sign_changes(chain.signs_at(a)) - sign_changes(chain.signs_at(b))
+    return HalfInt(chain.variation(a) - chain.variation(b))
 
 
 def sign_var_diff_infinite(chain: SturmChain) -> HalfInt:
     """V at -infinity minus V at +infinity, read off the leading terms."""
-    va = sign_changes(chain.signs_at_infinity(-1))
-    vb = sign_changes(chain.signs_at_infinity(+1))
-    return va - vb
+    signs = chain.signs_at_infinity
+    return HalfInt(twice_variation(signs(-1)) - twice_variation(signs(+1)))
+
+
+def open_root_count(chain: SturmChain, lo: RatLike, hi: RatLike) -> int:
+    """Distinct roots of p in the open interval (lo, hi), lo <= hi, where
+    ``chain`` is ``sturm_chain(p', p)``: a root at an endpoint adds one to
+    twice the Cauchy index V_lo - V_hi of p'/p and makes V odd there."""
+    v_lo, v_hi = chain.variation(lo), chain.variation(hi)
+    return (v_lo - v_lo % 2 - v_hi - v_hi % 2) // 2
 
 
 def isolate_real_roots(
@@ -131,38 +152,26 @@ def isolate_real_roots(
 ) -> tuple[list[tuple[Fraction, Fraction]], list[tuple[Fraction, Fraction]]]:
     """Bisect [a, b] into exact roots of p and isolating intervals.
 
-    ``chain`` is ``sturm_chain(p', p)``.  Its first member is p / gcd(p, p')
-    up to a constant factor, so it vanishes exactly at the distinct roots
-    of p, and one ``signs_at`` per point, memoized, gives both the point's
-    sign variation and whether p vanishes there.  Returns the sorted exact
-    roots met, (x, weight) with weight 1/2 at an endpoint and 1 at a
-    bisection midpoint, and the sorted intervals (lo, hi), no wider than
-    ``target``, each holding exactly one root in its interior.
+    ``chain`` is ``sturm_chain(p', p)``, so ``chain.variation(x)`` is odd
+    exactly when p(x) = 0: one memoized chain evaluation per point gives
+    both the point's sign variation and whether it is a root.  Returns the
+    sorted exact roots met, (x, weight) with weight 1/2 at an endpoint and
+    1 at a bisection midpoint, and the sorted intervals (lo, hi), no wider
+    than ``target``, each holding exactly one root in its interior.
     """
-    memo: dict[Fraction, tuple[int, bool]] = {}
-
-    def at(x: Fraction) -> tuple[int, bool]:
-        # (twice the sign variation, whether p(x) == 0)
-        if x not in memo:
-            signs = chain.signs_at(x)
-            memo[x] = sign_changes(signs).twice, signs[0] == 0
-        return memo[x]
-
-    points = [(x, Fraction(1, 2)) for x in (a, b) if at(x)[1]]
+    points = [(x, Fraction(1, 2)) for x in (a, b) if chain.variation(x) % 2]
     work = [(a, b)]
     intervals = []
     while work:
         lo, hi = work.pop()
-        (v_lo, zero_lo), (v_hi, zero_hi) = at(lo), at(hi)
-        # twice the number of roots in the open interval
-        inside = v_lo - v_hi - zero_lo - zero_hi
+        inside = open_root_count(chain, lo, hi)
         if inside == 0:
             continue
-        if inside == 2 and hi - lo <= target:
+        if inside == 1 and hi - lo <= target:
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if at(mid)[1]:
+        if chain.variation(mid) % 2:
             points.append((mid, Fraction(1)))
         work.append((lo, mid))
         work.append((mid, hi))

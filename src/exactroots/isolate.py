@@ -12,8 +12,9 @@ every root of a square-free working polynomial:
   index of any of its segments from endpoint signs, and on a line where
   the gcd is not constant, the chain of gcd'/gcd, built on the first
   query, gives the root count of any of its segments the same way; each
-  line memoizes the sign variation of both chains per point, so an
-  endpoint that several cells share is evaluated once;
+  chain memoizes its sign variation per point
+  (:meth:`~exactroots.poly.SturmChain.variation`), so an endpoint that
+  several cells share is evaluated once;
 * the line table lives as long as the working polynomial: a deflation
   clears it, and after each generation it keeps only the lines that bound
   a surviving cell;
@@ -43,14 +44,14 @@ serves the CLI's ``--newton`` refinement only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 # count_real_roots stays bound here: bench/test_bench.py checks that the
 # tracer reaches this copied binding.
-from .cauchy_index import count_real_roots, sign_changes  # noqa: F401
+from .cauchy_index import count_real_roots  # noqa: F401
 from .exact_arith import (
     GaussianRational,
     InvariantViolation,
@@ -181,18 +182,15 @@ class _Line:
     as t -> w(x + i*t): the Sturm chain of re/im, which carries gcd(re, im).
 
     A segment lo < t < hi is a positive affine reparametrization of the
-    line, so it has the same Cauchy indices and the same roots.  Twice the
-    sign variation of each chain is memoized per point.
+    line, so it has the same Cauchy indices and the same roots.  Both
+    chains memoize their sign variations per point.
     """
 
     chain: SturmChain
-    _variations: dict = field(default_factory=dict, compare=False, repr=False)
-    _root_variations: dict = field(default_factory=dict, compare=False, repr=False)
 
     def index(self, lo: Fraction, hi: Fraction) -> QuarterInt:
         """Index of w along the line from lo to hi: half the Cauchy index."""
-        memo = self._variations
-        return QuarterInt(_variation(self.chain, memo, lo) - _variation(self.chain, memo, hi))
+        return QuarterInt(self.chain.variation(lo) - self.chain.variation(hi))
 
     @cached_property
     def root_chain(self) -> SturmChain:
@@ -204,19 +202,10 @@ class _Line:
         """Distinct roots of w on the open segment; lo < hi are non-roots."""
         if self.chain.gcd.degree <= 0:
             return 0
-        memo = self._root_variations
-        twice = _variation(self.root_chain, memo, lo) - _variation(self.root_chain, memo, hi)
+        twice = self.root_chain.variation(lo) - self.root_chain.variation(hi)
         if twice % 2:
             raise InvariantViolation("segment count hit a boundary root")
         return twice // 2
-
-
-def _variation(chain: SturmChain, memo: dict, x: Fraction) -> int:
-    """Twice the sign variation of the chain at x, looked up in memo first."""
-    twice = memo.get(x)
-    if twice is None:
-        twice = memo[x] = sign_changes(chain.signs_at(x)).twice
-    return twice
 
 
 def _grid_line(w: ComplexPoly, lines: dict, kind: str, anchor: Fraction) -> _Line:
@@ -483,7 +472,7 @@ def isolate_roots(f: ComplexPoly, target_diameter: RatLike) -> IsolationState:
         lines = {k: line for k, line in lines.items() if k in live}
         nonzero = {z for z in nonzero if ("v", z.re) in live and ("h", z.im) in live}
 
-        recovered = sum(c.weight.as_fraction() for c in active + finished) + len(found)
+        recovered = sum(c.weight for c in active + finished) + len(found)
         if recovered != n0:
             raise InvariantViolation(
                 f"generation {generation}: {recovered} roots accounted, expected {n0}"

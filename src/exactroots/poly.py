@@ -516,6 +516,12 @@ def square_free_part(f: ComplexPoly) -> ComplexPoly:
 # ---------------------------------------------------------------------------
 
 
+def twice_variation(signs) -> int:
+    """Twice the sign variation of a sequence of signs, zeros counting one
+    half: the sum of |s_{k-1} - s_k| over adjacent pairs."""
+    return sum(abs(s - t) for s, t in zip(signs, signs[1:]))
+
+
 @dataclass(frozen=True)
 class SturmLink:
     """Certificate entry: a * S_{k-1} + b * S_{k+1} = q * S_k with a, b > 0."""
@@ -578,6 +584,26 @@ class SturmChain:
                 acc = acc * a + c * bk
             out.append((acc > 0) - (acc < 0))
         return out
+
+    @cached_property
+    def _variations(self) -> dict:
+        return {}
+
+    def variation(self, x) -> int:
+        """Twice the sign variation at the rational x, zeros counting one
+        half, memoized per point.
+
+        It is odd exactly when the first member vanishes at x: its parity is
+        that of the number of adjacent pairs with exactly one zero, the
+        terminal is a positive constant, and an interior member vanishes
+        only between members of opposite signs.  The first member of
+        ``sturm_chain(p', p)`` is p / gcd(p, p') up to a constant factor.
+        """
+        memo = self._variations
+        twice = memo.get(x)
+        if twice is None:
+            twice = memo[x] = twice_variation(self.signs_at(x))
+        return twice
 
     def signs_at_infinity(self, direction: int) -> list[int]:
         """Signs of the members beyond all roots (+1: at +oo, -1: at -oo)."""

@@ -84,7 +84,7 @@ def _real_roots_with_multiplicity(g: RealPoly) -> int:
     total = 0
     while g.degree >= 1:
         chain = sturm_chain(g.derivative(), g)
-        total += sign_var_diff_infinite(chain).twice // 2
+        total += sign_var_diff_infinite(chain).as_int()
         g = chain.gcd
     return total
 
@@ -100,7 +100,7 @@ def half_plane_count(f: ComplexPoly) -> HalfPlaneCount:
     routh, chain = _routh_index(f)
     if not routh.is_integer():
         raise InvariantViolation(f"Routh index {routh} is not an integer")
-    diff = routh.twice // 2
+    diff = routh.as_int()
     axis = _real_roots_with_multiplicity(chain.gcd)  # iy is an m-fold root of F
     total = f.degree - axis
     if total < 0 or (total + diff) % 2:

@@ -11,7 +11,8 @@ the four vertices this winding number counts the roots inside: interior
 roots with their multiplicity, edge roots with half of it.
 
 Indices take values in (1/4) * Z, held exactly by :class:`QuarterInt`:
-a simple root at a vertex of the rectangle contributes a quarter turn.
+a simple root at a vertex of the rectangle contributes a quarter turn.  It
+shares its arithmetic with ``HalfInt``; a mixed sum is taken in quarters.
 
 Everything here reduces to one-dimensional Sturm computations; there is no
 numerical quadrature and no approximation of any kind.
@@ -19,92 +20,27 @@ numerical quadrature and no approximation of any kind.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cauchy_index import HalfInt, cauchy_index
+from .cauchy_index import HalfInt, IndexNumber, cauchy_index
 from .exact_arith import GaussianRational, gauss, modulus_bounds
 from .poly import ComplexPoly
 
 
-@dataclass(frozen=True)
-class QuarterInt:
+@dataclass(frozen=True, eq=False)
+class QuarterInt(IndexNumber):
     """An exact element of (1/4) * Z, stored as four times its value."""
 
+    UNIT = 4
     quarters: int
-
-    @classmethod
-    def from_int(cls, n: int) -> "QuarterInt":
-        return cls(4 * n)
+    count = property(operator.attrgetter("quarters"))
 
     @classmethod
     def from_half(cls, h: HalfInt) -> "QuarterInt":
         return cls(2 * h.twice)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.quarters, 4)
-
-    def is_integer(self) -> bool:
-        return self.quarters % 4 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self} is not an integer")
-        return self.quarters // 4
-
-    def __add__(self, other: "QuarterInt | HalfInt | int") -> "QuarterInt":
-        return QuarterInt(self.quarters + _as_quarter(other).quarters)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuarterInt":
-        return QuarterInt(-self.quarters)
-
-    def __sub__(self, other: "QuarterInt | HalfInt | int") -> "QuarterInt":
-        return self + (-_as_quarter(other))
-
-    def __rsub__(self, other: "QuarterInt | HalfInt | int") -> "QuarterInt":
-        return _as_quarter(other) + (-self)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (QuarterInt, HalfInt, int, Fraction)):
-            return self.as_fraction() == _quarter_value(other)
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.as_fraction() < _quarter_value(other)
-
-    def __le__(self, other):
-        return self.as_fraction() <= _quarter_value(other)
-
-    def __gt__(self, other):
-        return self.as_fraction() > _quarter_value(other)
-
-    def __ge__(self, other):
-        return self.as_fraction() >= _quarter_value(other)
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
-
-
-def _as_quarter(v) -> QuarterInt:
-    if isinstance(v, QuarterInt):
-        return v
-    if isinstance(v, HalfInt):
-        return QuarterInt.from_half(v)
-    return QuarterInt(4 * v)
-
-
-def _quarter_value(v):
-    if isinstance(v, QuarterInt):
-        return v.as_fraction()
-    if isinstance(v, HalfInt):
-        return v.as_fraction()
-    return v
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from exactroots import BiPoly, PlaneMap, RealPoly, Rectangle, fixed_point_search, gauss
+from exactroots import brouwer
 from exactroots.brouwer import SelfMapViolation, _boundary_scan, _displacement, _rational_root
 
 from oracles import rnd_fraction
@@ -53,6 +54,16 @@ class TestRationalRoot:
     def test_irrational_roots_give_none(self):
         assert _rational_root(RealPoly([-1, 0, 2])) is None
         assert _rational_root(RealPoly([-1, 0, 2 * 7**40]) * RealPoly([-1, 0, 3])) is None
+
+    def test_work_bound(self, monkeypatch):
+        # (3t - 1)(2t^2 - 1): r = 2 roots in (0, 1), d = 3, l = 6 of 3 bits,
+        # so the search costs 2 * (3 * 3)^2 = 162 units of work
+        g = RealPoly([-1, 3]) * RealPoly([-1, 0, 2])
+        monkeypatch.setattr(brouwer, "MAX_EDGE_SEARCH_WORK", 162)
+        assert _rational_root(g) == Fraction(1, 3)
+        monkeypatch.setattr(brouwer, "MAX_EDGE_SEARCH_WORK", 161)
+        with pytest.raises(ValueError, match="work 162 is over the limit 161"):
+            _rational_root(g)
 
 
 class TestFixedPointSearch:

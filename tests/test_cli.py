@@ -278,6 +278,29 @@ class TestCommands:
         with pytest.raises(SelfMapViolation):
             fixed_point_search(f, Rectangle(-1, 1, -1, 1), Fraction(1, 1024))
 
+    def test_fixed_point_with_a_hostile_edge_gcd_exits_early(self, capsys, monkeypatch):
+        # The horizontal edge gcds 2*7^3000*t^2 - 1 have one real root in
+        # (0, 1) and an 8,423-bit leading coefficient: isolating it to width
+        # 1/(2 l^2) takes about 17,000 chain evaluations per edge, seconds
+        # in all.  The work bound refuses the search before it starts; the
+        # stand-in stops an unbounded search early.
+        from exactroots.poly import SturmChain
+
+        calls = []
+        original = SturmChain.signs_at
+
+        def bounded_signs_at(self, x):
+            calls.append(x)
+            assert len(calls) <= 1_000, "unbounded exact edge-zero search"
+            return original(self, x)
+
+        monkeypatch.setattr(SturmChain, "signs_at", bounded_signs_at)
+        h = "(2*7^3000*X^2 - 1)"
+        code, out, err = run_cli(capsys, "fixed-point", f"X - {h}", f"Y - {h}", "--rect", "0,1,0,1")
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "precondition" and "over the limit" in payload["message"]
+
     def test_internal_invariant_exit_code(self, capsys, monkeypatch):
         import exactroots.cli as cli_mod
         from exactroots.exact_arith import InvariantViolation

@@ -78,3 +78,22 @@ def test_fixed_point_and_real_roots_cases_of_first_500_match_golden_digests():
     counts = {kind: sum(spec["kind"] == kind for spec in cases) for kind in ("fixed-point", "real-roots")}
     assert len(golden) == 500 and counts == {"fixed-point": 106, "real-roots": 53}
     assert not mismatches
+
+
+def test_winding_routh_and_malformed_cases_of_first_500_match_golden_digests():
+    # winding and routh print index values; the malformed cases exit 2 or 3
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)["digests"]
+    corpus = CliCorpus(DEFAULT_SEED)
+    specs = [corpus.spec(i) for i in range(len(golden))]
+    kinds = ("winding", "routh", "malformed")
+    cases = [spec for spec in specs if spec["kind"] in kinds]
+    mismatches = []
+    for spec in cases:
+        code, stdout = corpus.call(exactroots, spec["argv"])
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        if code != spec["expect"].get("exit", 0) or digest != golden[spec["index"]]:
+            mismatches.append((spec["index"], spec["argv"], code))
+    counts = {kind: sum(spec["kind"] == kind for spec in cases) for kind in kinds}
+    assert len(golden) == 500 and counts == {"winding": 105, "routh": 105, "malformed": 78}
+    assert not mismatches

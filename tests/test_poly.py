@@ -10,6 +10,7 @@ from exactroots import (
     gauss,
     pseudo_div,
     real_gcd,
+    sign_changes,
     square_free_part,
     sturm_chain,
 )
@@ -378,3 +379,57 @@ class TestIntegerKernels:
         for direction in (1, -1):
             assert one.signs_at_infinity(direction) == [1]
             assert zero_one.signs_at_infinity(direction) == [0, 1]
+
+
+class TestVariationMemo:
+    @staticmethod
+    def planted(rng) -> tuple[RealPoly, list[Fraction]]:
+        """A random integer polynomial times planted rational roots, some
+        of them repeated, with its planted roots."""
+        roots = [rnd_fraction(rng, 7, 5) for _ in range(rng.randint(1, 4))]
+        p = RealPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)])
+        for root in roots:
+            for _ in range(rng.randint(1, 3)):
+                p = p * RealPoly([-root, 1])
+        return p, roots
+
+    @staticmethod
+    def check(chain, points):
+        """Each memoized variation equals the sign-change count, its parity
+        marks a zero first member, and the memo leaves repr and hash alone."""
+        before = (repr(chain), hash(chain))
+        for x in points:
+            twice = chain.variation(x)
+            assert twice == sign_changes(chain.signs_at(x)).twice
+            assert chain.variation(x) == twice
+            assert twice % 2 == (chain.signs_at(x)[0] == 0)
+        assert (repr(chain), hash(chain)) == before
+
+    def test_variation_matches_sign_changes_and_parity_marks_roots(self):
+        rng = Random(2424)
+        roots_hit = 0
+        for _ in range(40):
+            p, roots = self.planted(rng)
+            chain = sturm_chain(p.derivative(), p)
+            points = roots + [rnd_fraction(rng, 30, 17) for _ in range(50)]
+            self.check(chain, points)
+            for x in points:
+                assert chain.variation(x) % 2 == (p.eval(x) == 0)
+                roots_hit += p.eval(x) == 0
+            assert chain == sturm_chain(p.derivative(), p)
+        assert roots_hit >= 40
+
+    def test_general_and_degenerate_pairs(self):
+        rng = Random(2425)
+        zero = RealPoly.zero()
+        pairs = [(zero, X**2 - 2), (X - 1, zero), (zero, RealPoly.one()), (zero, zero)]
+        for _ in range(40):
+            r, _ = self.planted(rng)
+            s, _ = self.planted(rng)
+            pairs.append((r * (X - 1), s * (X - 1)))
+            pairs.append((rnd_real_poly(rng, 5), rnd_real_poly(rng, 6)))
+        for r, s in pairs:
+            chain = sturm_chain(r, s)
+            points = [Fraction(1), Fraction(0)] + [rnd_fraction(rng, 30, 17) for _ in range(50)]
+            self.check(chain, points)
+            assert chain == sturm_chain(r, s)

@@ -58,6 +58,23 @@ class TestQuarterInt:
         assert str(QuarterInt(1)) == "1/4"
         assert str(QuarterInt(8)) == "2"
 
+    def test_mixed_with_half_integers(self):
+        # a Cauchy index and a winding number share one arithmetic: mixed
+        # sums come out in quarters whichever operand comes first
+        total = HalfInt(1) + QuarterInt(1)
+        assert total == QuarterInt(3) and isinstance(total, QuarterInt)
+        assert QuarterInt(1) + HalfInt(1) == QuarterInt(3)
+        assert HalfInt(1) - QuarterInt(1) == Fraction(1, 4)
+        assert QuarterInt(1) - HalfInt(1) == Fraction(-1, 4)
+        assert HalfInt(1) < QuarterInt(3) and QuarterInt(3) > HalfInt(1)
+        assert HalfInt(1) <= QuarterInt(2) <= HalfInt(1) and HalfInt(2) >= QuarterInt(4)
+        assert QuarterInt(3) != HalfInt(1)
+        assert QuarterInt(3) < 1 < HalfInt(3) and 0 < QuarterInt(1) <= Fraction(1, 4)
+        assert Fraction(1, 3) < QuarterInt(2) < Fraction(2, 3) and HalfInt(-1) < Fraction(-1, 3)
+        assert hash(HalfInt(2)) == hash(QuarterInt(4)) == hash(1)
+        assert len({HalfInt(1), QuarterInt(2), Fraction(1, 2)}) == 1
+        assert sum([QuarterInt(1), QuarterInt(3)]) == 1
+
 
 class TestSegmentIndex:
     def test_vertex_calculation_pieces(self):
