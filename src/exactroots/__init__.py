@@ -35,6 +35,7 @@ from .winding import (
     VertexRootError,
     cauchy_radius,
     count_roots_in_rectangle,
+    free_segment_index,
     global_index_check,
     loop_index,
     rectangle_index,
@@ -80,6 +81,7 @@ __all__ = [
     "deflate_vertex_root",
     "descartes_bound",
     "fixed_point_search",
+    "free_segment_index",
     "gauss",
     "global_index_check",
     "half_plane_count",

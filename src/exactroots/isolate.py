@@ -35,11 +35,15 @@ root.  A 2-cell of weight 1, once no other cell is near it and the Newton
 step from its center lands well inside it, gets one attempt: snapped
 Newton iteration predicts the root, and the grid cell of the last
 generation that holds the iterate is certified exactly (nonzero vertices,
-no root on its edges, closed count 1).  A certified cell is the very cell
-bisection would output and is never split again; a failed attempt leaves
-the lineage to bisection.  Newton only predicts, so the output stays
-exact.  The ``3n*delta`` separation test (:func:`newton_switch_ready`)
-serves the CLI's ``--newton`` refinement only.
+no root on its edges, closed count 1).  The certificate builds no grid
+line: :func:`~exactroots.winding.free_segment_index` proves each edge
+root-free by a Descartes test and gives its index; only a cell with an
+edge that test cannot settle falls back to the grid lines' chains.  A
+certified cell is the very cell bisection would output and is never split
+again; a failed attempt leaves the lineage to bisection.  Newton only
+predicts, so the output stays exact.  The ``3n*delta`` separation test
+(:func:`newton_switch_ready`) serves the CLI's ``--newton`` refinement
+only.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from .winding import (
     Rectangle,
     VertexRootError,
     cauchy_radius,
+    free_segment_index,
     rectangle_index,
 )
 
@@ -335,9 +340,13 @@ def _final_cell(
     once, before any grid line is built, when an iterate leaves the cell.
     The grid cell of side ``side`` that holds the iterate is then certified
     exactly: nonzero vertices, no root on its four open edges and closed
-    count 1.  Its root then lies in its open interior, off every grid line
-    that bisection draws down to that side, so bisection would output this
-    very cell.
+    count 1.  When :func:`free_segment_index` settles all four edges, w has
+    no zero on the closed boundary and the closed count is the sum of their
+    indices, with no Sturm chain built; when it declines an edge, the
+    vertices and the grid lines' chains decide, as in bisection.  The root
+    then lies in the cell's open interior, off every grid line that
+    bisection draws down to that side, so bisection would output this very
+    cell.
     """
     bits = _SNAP_BITS + side.denominator.bit_length() - side.numerator.bit_length() + 1
     z = cell.center()
@@ -356,10 +365,19 @@ def _final_cell(
     rect = Rectangle(x0, x0 + side, y0, y0 + side)
     if not (cell.x0 <= x0 and x0 + side <= cell.x1 and cell.y0 <= y0 and y0 + side <= cell.y1):
         return None
-    if _vertex_root(w, rect, nonzero) is not None:
-        return None
-    closed, boundary = _boundary_counts(w, lines, rect)
-    if boundary or closed != cell.weight:
+    a, b, c, d = rect.vertices()
+    closed = QuarterInt(0)
+    for start, end in ((a, b), (b, c), (c, d), (d, a)):
+        index = free_segment_index(w, start, end)
+        if index is None:  # some edge needs the grid lines' chains
+            if _vertex_root(w, rect, nonzero) is not None:
+                return None
+            closed, boundary = _boundary_counts(w, lines, rect)
+            if boundary:
+                return None
+            break
+        closed += index
+    if closed != cell.weight:
         return None
     return Cell(rect.x0, rect.x1, rect.y0, rect.y1, cell.weight)
 
@@ -530,23 +548,38 @@ def newton_step(
     """One Newton step z - f(z)/f'(z), exactly, then optionally snapped.
 
     With ``rounding_denominator = k`` both components are rounded to the
-    nearest multiple of 2**-k, which keeps iterates' denominators bounded;
-    the snap moves each component by at most 2**-k.  ``derivative`` is f',
-    for callers that step the same f many times.
+    nearest multiple of 2**-k, ties to even, which keeps iterates'
+    denominators bounded; the snap moves each component by at most 2**-k.
+    The snapped step runs on integers: with f(z) = (fr + fi*i)/fs and
+    f'(z) = (dr + di*i)/ds, the quotient f(z)/f'(z) is
+    (fr + fi*i)(dr - di*i)*ds / Q with Q = fs*(dr^2 + di^2) > 0, so each
+    component of 2**k * (z - f(z)/f'(z)) is one integer fraction, rounded
+    by one floor division.  ``derivative`` is f', for callers that
+    step the same f many times.
     """
     z = gauss(z)
-    dv = (f.derivative() if derivative is None else derivative).eval(z)
-    if not dv:
-        raise ZeroDivisionError("derivative vanishes at the iterate")
-    step = f.eval(z) / dv
-    result = z - step
+    df = f.derivative() if derivative is None else derivative
     if rounding_denominator is None:
-        return result
-    scale = 1 << rounding_denominator
-    return gauss(
-        Fraction(round(result.re * scale), scale),
-        Fraction(round(result.im * scale), scale),
-    )
+        dv = df.eval(z)
+        if not dv:
+            raise ZeroDivisionError("derivative vanishes at the iterate")
+        return z - f.eval(z) / dv
+    dr, di, ds = df.eval_ints(z)
+    if not (dr or di):
+        raise ZeroDivisionError("derivative vanishes at the iterate")
+    fr, fi, fs = f.eval_ints(z)
+    quotient_den = fs * (dr * dr + di * di)
+    snapped = []
+    for x, num in ((z.re, fr * dr + fi * di), (z.im, fi * dr - fr * di)):
+        # 2**k * (x - num*ds/Q) over the denominator den, rounded half to even
+        den = x.denominator * quotient_den
+        whole, rest = divmod(
+            (x.numerator * quotient_den - x.denominator * num * ds) << rounding_denominator, den
+        )
+        if 2 * rest > den or (2 * rest == den and whole % 2):
+            whole += 1
+        snapped.append(Fraction(whole, 1 << rounding_denominator))
+    return gauss(*snapped)
 
 
 def smale_check(f: ComplexPoly, u0: GaussianRational) -> bool:

@@ -17,7 +17,9 @@ real and imaginary parts of its coefficients) is computed once per
 instance.  The point, or m and c of ``p(m*X + c)``, is cleared to one
 positive denominator s as well, and homogeneous Horner on ``(re, im)``
 int pairs carries the powers of s, so only the final division by
-``den * s^n`` builds fractions.
+``den * s^n`` builds fractions.  ``eval_ints`` and ``compose_affine_ints``
+return the integers before that division, for callers that read only
+signs or do their own division.
 
 Sturm chains are built by pseudo-euclidean division with an even exponent
 (``c^d * S = P*Q - R``) followed by primitive-part extraction of each
@@ -211,34 +213,40 @@ class _Poly:
         return s, [(re.numerator * (s // re.denominator), im.numerator * (s // im.denominator))
                    for re, im in parts]
 
-    def eval(self, x):
-        """Value at a scalar point, exactly.
+    def eval_ints(self, x) -> tuple[int, int, int]:
+        """The value at a scalar point as ``(re, im, scale)``: p(x) = (re +
+        im*i) / scale with scale > 0.
 
         With x = (p + q*i)/s, homogeneous Horner on Gaussian integers gives
-        N = sum c_k (p + q*i)^k s^(n-k) times den; the value is N / (den*s^n).
+        N = sum c_k (p + q*i)^k s^(n-k) times den, and scale = den*s^n.
         """
         s, [(p, q)] = self._cleared(x)
         den, res, ims = self._ints()
         if not res:
-            return self._scalar(0, 0, 1)
+            return 0, 0, 1
         ar, ai = res[-1], ims[-1]
         spow = 1
         for k in range(len(res) - 2, -1, -1):
             spow *= s
             ar, ai = ar * p - ai * q + res[k] * spow, ar * q + ai * p + ims[k] * spow
-        return self._scalar(ar, ai, den * spow)
+        return ar, ai, den * spow
 
-    def compose_affine(self, m, c):
-        """The polynomial ``p(m*X + c)``, exactly.
+    def eval(self, x):
+        """Value at a scalar point, exactly (see :meth:`eval_ints`)."""
+        return self._scalar(*self.eval_ints(x))
+
+    def compose_affine_ints(self, m, c) -> tuple[list[int], list[int], int]:
+        """``p(m*X + c)`` as integer lists ``(re, im, scale)``: the
+        coefficient of X^j is (re[j] + im[j]*i) / scale, with scale > 0.
 
         With m = M/s and c = C/s, homogeneous Horner on Gaussian integers
-        expands sum c_k (M*X + C)^k s^(n-k) times den, which is divided by
-        den*s^n once at the end.
+        expands sum c_k (M*X + C)^k s^(n-k) times den, and scale = den*s^n.
+        The lists are empty for the zero polynomial.
         """
         s, [(mr, mi), (cr, ci)] = self._cleared(m, c)
         den, res, ims = self._ints()
         if not res:
-            return type(self).zero()
+            return [], [], 1
         acc_r, acc_i = [res[-1]], [ims[-1]]
         spow = 1
         for k in range(len(res) - 2, -1, -1):
@@ -254,8 +262,12 @@ class _Poly:
             out_r[0] += res[k] * spow
             out_i[0] += ims[k] * spow
             acc_r, acc_i = out_r, out_i
-        scale = den * spow
-        return type(self)([self._scalar(a, b, scale) for a, b in zip(acc_r, acc_i)])
+        return acc_r, acc_i, den * spow
+
+    def compose_affine(self, m, c):
+        """The polynomial ``p(m*X + c)``, exactly (see :meth:`compose_affine_ints`)."""
+        res, ims, scale = self.compose_affine_ints(m, c)
+        return type(self)([self._scalar(a, b, scale) for a, b in zip(res, ims)])
 
     # -- field division ---------------------------------------------------
 

@@ -274,6 +274,31 @@ class TestNewton:
         assert abs(snapped.re - exact.re) <= Fraction(1, 16)
         assert abs(snapped.im - exact.im) <= Fraction(1, 16)
 
+    def test_snap_equals_rounding_the_exact_step(self):
+        # the integer snap is round() of the exact Fraction step, ties to even
+        def rounded(f, z, k):
+            exact = newton_step(f, z)
+            return gauss(*(Fraction(round(x * 2**k), 2**k) for x in (exact.re, exact.im)))
+
+        rng = Random(505)
+        for _ in range(300):
+            coeffs = [rnd_gauss(rng, 50, 9) for _ in range(rng.randint(1, 8))]
+            f = ComplexPoly(coeffs + [rnd_nonzero_gauss(rng, 5, 3)])
+            z = gauss(
+                Fraction(rng.randint(-999, 999), 2 ** rng.randint(0, 40)),
+                Fraction(rng.randint(-999, 999), rng.randint(1, 300)),
+            )
+            k = rng.randint(0, 40)
+            if not f.derivative().eval(z):
+                continue
+            assert newton_step(f, z, k, f.derivative()) == rounded(f, z, k)
+        # Z - c steps onto c from anywhere: odd multiples of 2^-(k+1) are ties
+        for re, im in ((1, 3), (-1, -3), (5, -7), (-5, 7), (0, 1)):
+            c = gauss(Fraction(re, 2**5), Fraction(im, 2**5))
+            snapped = newton_step(Z - c, gauss(3, 1), rounding_denominator=4)
+            assert snapped == rounded(Z - c, gauss(3, 1), 4)
+            assert snapped == gauss(*(Fraction(round(Fraction(v, 2)), 16) for v in (re, im)))
+
     def test_contraction_from_two(self):
         # |Phi^m(2) - 1| <= 2^-m * |2 - 1| for m <= 10, all exact
         z = gauss(2)
@@ -467,8 +492,78 @@ def test_one_sturm_chain_per_line_per_isolation(monkeypatch):
     f, target, _ = PINNED_ISOLATIONS["seed-70707 anchor"]
     isolate_roots(f, target)
     # 796 with a line table per generation, 281 when every cell was
-    # bisected down to the last generation
-    assert len(calls) == 94
+    # bisected down to the last generation, 94 when the endgame's
+    # certificates read grid-line chains instead of free_segment_index
+    assert len(calls) == 62
+
+
+@pytest.mark.parametrize(
+    "name, fallbacks",
+    # the second case's attempt meets its root at a vertex of the final cell
+    [("seed-70707 anchor at 2^-32", 0), ("grid point after weight 1", 1)],
+)
+def test_certificates_build_chains_only_in_their_fallbacks(monkeypatch, name, fallbacks):
+    # a certificate builds a Sturm chain only after free_segment_index
+    # declined one of its edges
+    isolate_module = importlib.import_module("exactroots.isolate")
+    original_chain, original_cell = isolate_module.sturm_chain, isolate_module._final_cell
+    original_index = isolate_module.free_segment_index
+    certificate = []  # per running certificate: whether an edge was declined
+    declines, early_chains = [], []
+
+    def counting_chain(r, s):
+        if certificate and not certificate[-1]:
+            early_chains.append(None)
+        return original_chain(r, s)
+
+    def tracking_cell(*args):
+        certificate.append(False)
+        try:
+            return original_cell(*args)
+        finally:
+            certificate.pop()
+
+    def tracking_index(*args):
+        index = original_index(*args)
+        if index is None:
+            declines.append(None)
+            certificate[-1] = True
+        return index
+
+    monkeypatch.setattr(isolate_module, "sturm_chain", counting_chain)
+    monkeypatch.setattr(isolate_module, "_final_cell", tracking_cell)
+    monkeypatch.setattr(isolate_module, "free_segment_index", tracking_index)
+    f, target, digest = PINNED_ISOLATIONS[name]
+    state = isolate_roots(f, target)
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+    assert early_chains == []
+    assert len(declines) == fallbacks
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ISOLATIONS))
+def test_certificates_fall_back_to_grid_lines(monkeypatch, name):
+    # with the chain-free edge test always declining, every certificate
+    # reads grid-line chains, and the output is the same
+    isolate_module = importlib.import_module("exactroots.isolate")
+    monkeypatch.setattr(isolate_module, "free_segment_index", lambda *args: None)
+    f, target, digest = PINNED_ISOLATIONS[name]
+    state = isolate_roots(f, target)
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+
+
+def test_first_isolate_deep_inputs_digest():
+    # the first 12 degree-8 polynomials of the criterion-7 stream at 2^-32,
+    # as the isolate-deep benchmark workload draws them; SHA-256 of their
+    # reprs, one line each, recorded before the chain-free certificates
+    rng = Random(70707)
+    digest = hashlib.sha256()
+    for _ in range(12):
+        coeffs = [gauss(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)]
+        state = isolate_roots(ComplexPoly(coeffs + [gauss(1)]), Fraction(1, 2**32))
+        digest.update(repr(state).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "5b0afa7ece61087b150932fd8320ed10fed1d424674e9ca47fc8582ee80132e3"
+    )
 
 
 def test_weight_one_cells_bisected_on_the_anchor(monkeypatch):

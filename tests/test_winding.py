@@ -5,6 +5,7 @@ import pytest
 
 from exactroots import (
     ComplexPoly,
+    GaussianRational,
     HalfInt,
     PolyLoop,
     QuarterInt,
@@ -14,6 +15,7 @@ from exactroots import (
     cauchy_index,
     cauchy_radius,
     count_roots_in_rectangle,
+    free_segment_index,
     gauss,
     global_index_check,
     loop_index,
@@ -22,6 +24,7 @@ from exactroots import (
     segment_index,
 )
 
+from exactroots import winding
 from oracles import (
     classify_position,
     poly_from_complex_roots,
@@ -97,6 +100,79 @@ class TestSegmentIndex:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             segment_index(Z, gauss(1), gauss(1))
+
+
+def on_segment(z: GaussianRational, a: GaussianRational, b: GaussianRational) -> bool:
+    """Whether z lies on the closed segment [a, b]: z - a = t*(b - a), 0 <= t <= 1."""
+    d, e = b - a, z - a
+    if d.re * e.im != d.im * e.re:
+        return False
+    t = (e.re / d.re) if d.re else (e.im / d.im)
+    return 0 <= t <= 1
+
+
+class TestFreeSegmentIndex:
+    def test_settled_index_matches_the_chain_and_proves_no_root(self):
+        rng = Random(404)
+        settled = declined = 0
+        for _ in range(300):
+            roots = [(rnd_gauss(rng, 4, 3), 1) for _ in range(rng.randint(1, 6))]
+            f = poly_from_complex_roots(roots, rnd_nonzero_gauss(rng, 3, 2))
+            if rng.random() < 0.3:  # a segment through a root, or ending in one
+                z = roots[0][0]
+                d = rnd_nonzero_gauss(rng, 2, 4)
+                a, b = (z - d, z + d) if rng.random() < 0.5 else (z, z + d)
+            else:
+                a, b = rnd_gauss(rng, 4, 4), rnd_gauss(rng, 4, 4)
+                if a == b:
+                    continue
+            index = free_segment_index(f, a, b)
+            if index is None:
+                declined += 1
+                continue
+            settled += 1
+            assert index == segment_index(f, a, b)
+            assert not any(on_segment(z, a, b) for z, _ in roots)
+        assert settled > 150 and declined > 30
+
+    def test_endpoint_zero_of_u(self):
+        # Z along i -> 2 - i is 2t + (1 - 2t)i: u(0) = 0, v(1/2) = 0
+        assert free_segment_index(Z, I, gauss(2, -1)) == segment_index(Z, I, gauss(2, -1))
+        assert free_segment_index(Z, I, gauss(2, -1)) == Fraction(-1, 2)
+
+    def test_endpoint_zero_of_v(self):
+        # Z along 1 -> -1 + 2i is (1 - 2t) + 2t*i: v(0) = 0, u(1/2) = 0
+        a, b = gauss(1), gauss(-1, 2)
+        assert free_segment_index(Z, a, b) == segment_index(Z, a, b) == Fraction(1, 4)
+
+    def test_declines_on_a_root(self):
+        z = gauss(Fraction(1, 3), Fraction(1, 5))
+        f = (Z - z) * (Z + 2)
+        assert free_segment_index(f, z - gauss(1, 1), z + gauss(2, 2)) is None  # inside
+        assert free_segment_index(f, z, gauss(3)) is None  # at an endpoint
+        assert free_segment_index(f, gauss(3), z) is None
+
+    @pytest.mark.parametrize("bits, depth", [(5, 5), (6, 5), (7, 7), (8, 7)])
+    def test_close_zeros_of_u_and_v_need_halvings(self, monkeypatch, bits, depth):
+        # along 0 -> 1 + i, Z - r has u = t - 1/3 and v = t - 1/3 - 2^-bits
+        r = gauss(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**bits))
+        f, a, b = Z - r, gauss(0), gauss(1, 1)
+        assert free_segment_index(f, a, b) == segment_index(f, a, b)
+        monkeypatch.setattr(winding, "FREE_SEGMENT_DEPTH", depth - 1)
+        assert free_segment_index(f, a, b) is None
+        monkeypatch.setattr(winding, "FREE_SEGMENT_DEPTH", depth)
+        assert free_segment_index(f, a, b) == segment_index(f, a, b)
+
+    def test_depth_cap_declines_off_the_roots(self):
+        r = gauss(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**20))
+        f, a, b = Z - r, gauss(0), gauss(1, 1)
+        assert not on_segment(r, a, b)
+        assert free_segment_index(f, a, b) is None
+        assert segment_index(f, a, b) == Fraction(1, 2)
+
+    def test_equal_endpoints_rejected(self):
+        with pytest.raises(ValueError):
+            free_segment_index(Z, gauss(1), gauss(1))
 
 
 class TestRectangleIndex:
